@@ -16,6 +16,7 @@ import numpy as np
 
 from ..isa.opcodes import FlowKind
 from ..superset.superset import Superset
+from .chains import behavior_scores
 from .defuse import DefUseSignals, analyze_chain
 
 #: Weights of the behavioral score components.  These are coarse,
@@ -97,10 +98,17 @@ class BehaviorAnalyzer:
                               terminated=terminated)
 
     def score_all(self, superset: Superset) -> np.ndarray:
-        """Vector of behavioral scores for every offset of the section."""
+        """Vector of behavioral scores for every offset of the section.
+
+        Equal, float for float, to ``report(superset, o).score(weights)``
+        at every valid offset; the chains are walked in lockstep over the
+        superset's cached :class:`~repro.analysis.chains.ChainColumns`.
+        """
         scores = np.full(len(superset), self.weights.invalid_fallthrough)
-        for offset in superset.valid_offsets:
-            scores[offset] = self.report(superset, offset).score(self.weights)
+        starts, path = superset.chain_columns.full_walk(
+            superset.valid_offsets, self.window)
+        scores[starts] = behavior_scores(superset.chain_columns, path,
+                                         self.weights)
         return scores
 
     def rescore(self, superset: Superset, offsets,
@@ -109,13 +117,12 @@ class BehaviorAnalyzer:
 
         Behavioral scores depend only on the bounded fall-through
         window, so incremental re-disassembly recomputes just the
-        offsets whose window touches changed bytes; each value is
-        bit-identical to a full :meth:`score_all` (same per-offset
-        path).
+        offsets whose window touches changed bytes.  Only the columns
+        of rows those chains reach are built; each value is
+        bit-identical to a full :meth:`score_all`.
         """
-        for offset in offsets:
-            if superset.is_valid(offset):
-                scores[offset] = self.report(superset,
-                                             offset).score(self.weights)
-            else:
-                scores[offset] = self.weights.invalid_fallthrough
+        columns = superset.chain_columns
+        starts = columns.valid_starts(offsets)
+        scores[offsets] = self.weights.invalid_fallthrough
+        scores[starts] = behavior_scores(
+            columns, columns.walk(starts, self.window), self.weights)

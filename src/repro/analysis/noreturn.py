@@ -65,6 +65,8 @@ def _reaches_return(superset: Superset, entry: int,
     """BFS over superset candidates from ``entry``, looking for a way
     out: a ``ret``, a tail jump out of the section, or any flow the
     analysis cannot follow."""
+    instructions = superset.instructions
+    size = len(instructions)
     seen: set[int] = set()
     stack = [entry]
     while stack:
@@ -72,9 +74,10 @@ def _reaches_return(superset: Superset, entry: int,
         if offset in seen:
             continue
         seen.add(offset)
-        instruction = superset.at(offset)
+        instruction = instructions[offset] if 0 <= offset < size else None
         if instruction is None:
             continue               # undecodable: this path is dead
+        end = offset + instruction.length
         flow = instruction.flow
 
         if flow is FlowKind.RET:
@@ -91,7 +94,7 @@ def _reaches_return(superset: Superset, entry: int,
             continue
         if flow is FlowKind.JUMP:
             target = instruction.branch_target
-            if target is None or not 0 <= target < len(superset):
+            if target is None or not 0 <= target < size:
                 return True        # jump out of section: assume ok
             if target == entry:
                 continue           # self tail call proves nothing new
@@ -104,9 +107,9 @@ def _reaches_return(superset: Superset, entry: int,
             continue
         if flow is FlowKind.CJUMP:
             target = instruction.branch_target
-            if target is not None and 0 <= target < len(superset):
+            if target is not None and 0 <= target < size:
                 stack.append(target)
-            stack.append(instruction.end)
+            stack.append(end)
             continue
         if flow is FlowKind.CALL:
             target = instruction.branch_target
@@ -114,14 +117,14 @@ def _reaches_return(superset: Superset, entry: int,
             if target is not None and target in returning:
                 callee_returns = returning[target]
             if callee_returns:
-                stack.append(instruction.end)
+                stack.append(end)
             continue
         if flow is FlowKind.ICALL:
-            stack.append(instruction.end)
+            stack.append(end)
             continue
         # Plain sequential flow.
-        if instruction.end < len(superset):
-            stack.append(instruction.end)
+        if end < size:
+            stack.append(end)
         else:
             return True            # falls off the section: assume ok
     return False

@@ -21,6 +21,10 @@ The support windows are conservative byte bounds:
   terminates a long printable run), so penalty arrays of old and new
   text are compared directly and differing offsets are retracted too.
 
+Rescoring builds chain-scoring columns (:mod:`repro.analysis.chains`)
+only for the rows the dirty chains reach, never for the whole section
+(``IncrementalStats.columns_built`` counts them).
+
 Everything retained is bit-identical to what a cold run would compute
 (same objects, or values produced by the same float expressions over
 unchanged bytes), so the correction phase -- re-run in full on the
@@ -83,6 +87,9 @@ class IncrementalStats:
     redecoded: int = 0
     stat_rescored: int = 0
     behavior_rescored: int = 0
+    #: Chain-column rows (:mod:`repro.analysis.chains`) the rescoring
+    #: built: only rows the dirty chains reach, never the whole section.
+    columns_built: int = 0
     dirty_ranges: list[tuple[int, int]] = field(default_factory=list)
 
     @property
@@ -98,6 +105,7 @@ class IncrementalStats:
                 "spans": self.spans, "redecoded": self.redecoded,
                 "stat_rescored": self.stat_rescored,
                 "behavior_rescored": self.behavior_rescored,
+                "columns_built": self.columns_built,
                 "reused_fraction": round(self.reused_fraction, 4)}
 
 
@@ -258,6 +266,8 @@ def disassemble_incremental(disassembler, base: FactBase, target,
                                              score_ranges,
                                              config.alignment)
 
+        columns = superset.chain_columns
+        rows_before = columns.rows_built
         with phase_span("behavior", timings):
             behavior = None
             if config.use_behavior:
@@ -284,6 +294,7 @@ def disassemble_incremental(disassembler, base: FactBase, target,
                 scorer.rescore(superset, offsets, stat)
                 stats.stat_rescored = len(offsets)
             scores = combine_scores(config, superset, stat, behavior)
+        stats.columns_built = columns.rows_built - rows_before
 
         return disassembler._correct(text, resolved_entry, image,
                                      superset, stat, behavior, scores,

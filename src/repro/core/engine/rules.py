@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from ...analysis.idioms import prologue_score
 from ...analysis.noreturn import compute_returning
-from ...isa.opcodes import FlowKind
+from ...isa.opcodes import FlowKind, NO_FALLTHROUGH
 from ...obs.metrics import REGISTRY
 from ..evidence import Classification, Priority
 from ..tables import (ResolvedTable, resolve_indirect_call,
@@ -250,14 +250,17 @@ class TraceRule(Rule):
         def contradiction(depth: int) -> bool:
             return strict_everywhere or depth <= strict_depth
 
+        labels, priorities, size = state.labels, state.priorities, state.size
+        instructions = engine.superset.instructions
         while worklist:
             offset, depth = worklist.pop()
             if offset in visited:
                 continue
             visited.add(offset)
-            if state.is_code_start(offset):
+            if labels[offset] == Classification.CODE_START:
                 continue   # joins already-confirmed code
-            instruction = engine.superset.at(offset)
+            instruction = (instructions[offset]
+                           if 0 <= offset < len(instructions) else None)
             if instruction is None or \
                     not state.can_mark_instruction(offset,
                                                    instruction.length
@@ -281,36 +284,37 @@ class TraceRule(Rule):
                     return result
                 continue   # prune this path only
 
-            for i in range(offset, min(offset + instruction.length,
-                                       state.size)):
+            end = offset + instruction.length
+            for i in range(offset, min(end, size)):
                 if i not in undo:
-                    undo[i] = (state.labels[i], state.priorities[i])
-                    if state.labels[i]:   # non-UNKNOWN: a real overwrite
+                    label = labels[i]
+                    undo[i] = (label, priorities[i])
+                    if label:   # non-UNKNOWN: a real overwrite
                         result.reclassified += 1
             state.mark_instruction(offset, instruction.length, priority)
             result.accepted.add(offset)
 
-            if instruction.rip_target is not None \
-                    and 0 <= instruction.rip_target < state.size:
-                result.rip_references.add(instruction.rip_target)
+            rip_target = instruction.rip_target
+            if rip_target is not None and 0 <= rip_target < size:
+                result.rip_references.add(rip_target)
 
-            if instruction.flow is FlowKind.CALL:
+            flow = instruction.flow
+            if flow is FlowKind.CALL:
                 target = instruction.branch_target
-                if target is not None and 0 <= target < state.size:
+                if target is not None and 0 <= target < size:
                     result.call_targets.add(target)
                     # Defer the continuation: traced only once the
                     # callee is known to return.
-                    result.pending_calls.append((instruction.end,
-                                                 target))
+                    result.pending_calls.append((end, target))
                     continue
-            elif instruction.flow in (FlowKind.JUMP, FlowKind.CJUMP):
+            elif flow is FlowKind.JUMP or flow is FlowKind.CJUMP:
                 target = instruction.branch_target
                 if target is not None:
-                    if 0 <= target < state.size:
+                    if 0 <= target < size:
                         worklist.append((target, depth + 1))
                     else:
                         result.jump_targets_outside.add(target)
-            elif instruction.flow is FlowKind.IJUMP \
+            elif flow is FlowKind.IJUMP \
                     and engine.config.use_table_resolution:
                 table = resolve_indirect_jump(engine.superset,
                                               engine.image,
@@ -320,7 +324,7 @@ class TraceRule(Rule):
                     result.resolved_tables.append(table)
                 else:
                     result.unresolved_dispatches.add(offset)
-            elif instruction.flow is FlowKind.ICALL \
+            elif flow is FlowKind.ICALL \
                     and engine.config.use_table_resolution:
                 table = resolve_indirect_call(engine.superset,
                                               engine.image,
@@ -331,10 +335,10 @@ class TraceRule(Rule):
                 else:
                     result.unresolved_dispatches.add(offset)
 
-            if instruction.flow is FlowKind.TRAP:
+            if flow is FlowKind.TRAP:
                 continue   # padding trap: execution never proceeds here
-            if instruction.falls_through and instruction.end < state.size:
-                worklist.append((instruction.end, depth + 1))
+            if flow not in NO_FALLTHROUGH and end < size:
+                worklist.append((end, depth + 1))
 
         if undo:
             result.touched = (min(min(undo), seed), max(undo) + 1)

@@ -9,6 +9,7 @@ weaker evidence that contradicts an existing decision is rejected.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 
@@ -19,6 +20,18 @@ class Classification(enum.IntEnum):
     DATA = 3
 
 
+_CODE_START = Classification.CODE_START.value
+_CODE_INTERIOR = Classification.CODE_INTERIOR.value
+_DATA = Classification.DATA.value
+_INTERIOR_BYTE = bytes([_CODE_INTERIOR])
+_DATA_BYTE = bytes([_DATA])
+#: Label scans run in the regex engine: the correction loop asks for
+#: gaps and regions after every round, over every byte of the section.
+_CODE_START_AT = re.compile(bytes([_CODE_START]))
+_UNKNOWN_RUN = re.compile(bytes([Classification.UNKNOWN]) + b"+")
+_DATA_RUN = re.compile(bytes([_DATA]) + b"+")
+
+
 class Priority(enum.IntEnum):
     """Evidence strength classes, strongest last."""
 
@@ -26,6 +39,12 @@ class Priority(enum.IntEnum):
     IDIOM = 2        # prologue patterns at aligned offsets
     STRUCTURAL = 3   # detected tables, long padding runs
     ANCHOR = 4       # the entry point and propagation from anchors
+
+
+#: ``bytes.translate`` tables raising every priority byte to at least
+#: ``p``, so a mark updates its whole byte range in C.
+_RAISE_TO = [bytes(max(b, p) for b in range(256))
+             for p in range(max(Priority) + 1)]
 
 
 @dataclass(frozen=True)
@@ -88,35 +107,14 @@ class ClassificationState:
         return self.priorities[offset]
 
     def instruction_starts(self) -> set[int]:
-        return {i for i, label in enumerate(self.labels)
-                if label == Classification.CODE_START}
+        return {match.start() for match in _CODE_START_AT.finditer(self.labels)}
 
     def unknown_gaps(self) -> list[tuple[int, int]]:
         """Maximal [start, end) runs still unclassified."""
-        gaps = []
-        start = None
-        for i, label in enumerate(self.labels):
-            if label == Classification.UNKNOWN and start is None:
-                start = i
-            elif label != Classification.UNKNOWN and start is not None:
-                gaps.append((start, i))
-                start = None
-        if start is not None:
-            gaps.append((start, self.size))
-        return gaps
+        return [match.span() for match in _UNKNOWN_RUN.finditer(self.labels)]
 
     def data_regions(self) -> list[tuple[int, int]]:
-        regions = []
-        start = None
-        for i, label in enumerate(self.labels):
-            if label == Classification.DATA and start is None:
-                start = i
-            elif label != Classification.DATA and start is not None:
-                regions.append((start, i))
-                start = None
-        if start is not None:
-            regions.append((start, self.size))
-        return regions
+        return [match.span() for match in _DATA_RUN.finditer(self.labels)]
 
     # ------------------------------------------------------------------
     # Mutations
@@ -126,16 +124,18 @@ class ClassificationState:
                              priority: Priority) -> bool:
         """Would marking this instruction contradict stronger evidence?"""
         end = min(offset + length, self.size)
-        if self.labels[offset] == Classification.CODE_INTERIOR \
-                and self.priorities[offset] >= priority:
+        labels, priorities = self.labels, self.priorities
+        if labels[offset] == _CODE_INTERIOR \
+                and priorities[offset] >= priority:
             return False
+        if max(priorities[offset:end], default=0) < priority:
+            return True      # nothing here is held at this priority
         for i in range(offset, end):
-            label = self.labels[i]
-            if label == Classification.DATA \
-                    and self.priorities[i] >= priority:
+            label = labels[i]
+            if label == _DATA and priorities[i] >= priority:
                 return False
-            if i > offset and label == Classification.CODE_START \
-                    and self.priorities[i] >= priority:
+            if i > offset and label == _CODE_START \
+                    and priorities[i] >= priority:
                 return False
         return True
 
@@ -143,15 +143,20 @@ class ClassificationState:
                          priority: Priority) -> None:
         """Record an accepted instruction; caller checked for conflicts."""
         end = min(offset + length, self.size)
-        self.labels[offset] = Classification.CODE_START
-        self.priorities[offset] = max(self.priorities[offset], priority)
-        for i in range(offset + 1, end):
-            self.labels[i] = Classification.CODE_INTERIOR
-            self.priorities[i] = max(self.priorities[i], priority)
+        labels, priorities = self.labels, self.priorities
+        labels[offset] = _CODE_START
+        priorities[offset] = max(priorities[offset], priority)
+        if end > offset + 1:
+            labels[offset + 1:end] = _INTERIOR_BYTE * (end - offset - 1)
+            priorities[offset + 1:end] = \
+                priorities[offset + 1:end].translate(_RAISE_TO[priority])
 
     def can_mark_data(self, start: int, end: int,
                       priority: Priority) -> bool:
-        for i in range(start, min(end, self.size)):
+        end = min(end, self.size)
+        if max(self.priorities[start:end], default=0) < priority:
+            return True
+        for i in range(start, end):
             if self.labels[i] in (Classification.CODE_START,
                                   Classification.CODE_INTERIOR) \
                     and self.priorities[i] >= priority:
@@ -159,9 +164,11 @@ class ClassificationState:
         return True
 
     def mark_data(self, start: int, end: int, priority: Priority) -> None:
-        for i in range(start, min(end, self.size)):
-            self.labels[i] = Classification.DATA
-            self.priorities[i] = max(self.priorities[i], priority)
+        end = min(end, self.size)
+        if end > start:
+            self.labels[start:end] = _DATA_BYTE * (end - start)
+            self.priorities[start:end] = \
+                self.priorities[start:end].translate(_RAISE_TO[priority])
 
     def erase(self, offsets: set[int]) -> None:
         """Roll back tentative marks (used when a trace is aborted)."""

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from ..analysis.chains import (chain_lengths, code_log_probs, last_rows,
+                               span_log_probs)
 from ..superset.superset import Superset
 from .datamodel import AsciiRun, DataByteModel, find_ascii_runs
-from .ngram import NgramModel, START, token_of
+from .ngram import NgramModel
 
 #: Score assigned to offsets with no valid candidate at all.
 UNDECODABLE_SCORE = -10.0
@@ -48,38 +51,29 @@ class StatisticalScorer:
     window: int = 6
 
     def score_offset(self, superset: Superset, offset: int) -> float:
-        """Per-byte LLR of the candidate chain starting at ``offset``."""
-        chain = superset.fallthrough_chain(offset, self.window)
-        if not chain:
+        """Per-byte LLR of the candidate chain starting at ``offset``.
+
+        The kernel run for a single start: exactly ``score_all(...)
+        [offset]``.
+        """
+        if not superset.is_valid(offset):
             return UNDECODABLE_SCORE
-        span = chain[-1].end - offset
-        code_lp = self.code_model.score_instructions(chain)
-        data_lp = self.data_model.log_prob(superset.text[offset:offset + span])
-        score = (code_lp - data_lp) / span
-        for run in terminated_ascii_runs(superset.text):
-            if run.start <= offset < run.end:
-                score -= ASCII_PENALTY
-                break
-        return score
+        starts = np.array([offset], dtype=np.intp)
+        path = superset.chain_columns.walk(starts, self.window)
+        return float(self._chain_scores(superset, starts, path)[0])
 
     def score_all(self, superset: Superset) -> np.ndarray:
         """Vector of per-offset scores for a whole section.
 
-        Chains overlap heavily, so token and single-step scores are
-        computed once per offset and chains walk precomputed arrays.
+        Chains overlap heavily, so every chain is walked in lockstep
+        over the superset's cached
+        :class:`~repro.analysis.chains.ChainColumns` (the walk is shared
+        with behavioral scoring).
         """
-        size = len(superset)
-        tokens: list[str | None] = [None] * size
-        for offset in superset.valid_offsets:
-            tokens[offset] = token_of(superset.instructions[offset])
-
-        data_lp_byte = self._data_lp_bytes(superset.text)
-        ascii_penalty = self._ascii_penalty(superset.text)
-
-        scores = np.full(size, UNDECODABLE_SCORE)
-        for offset in superset.valid_offsets:
-            scores[offset] = self._chain_score(superset, offset, tokens,
-                                               data_lp_byte, ascii_penalty)
+        scores = np.full(len(superset), UNDECODABLE_SCORE)
+        starts, path = superset.chain_columns.full_walk(
+            superset.valid_offsets, self.window)
+        scores[starts] = self._chain_scores(superset, starts, path)
         return scores
 
     def rescore(self, superset: Superset, offsets, scores: np.ndarray
@@ -88,41 +82,39 @@ class StatisticalScorer:
 
         Incremental re-disassembly calls this for the offsets whose
         score support (decode window, fall-through chain, ASCII-run
-        membership) touches changed bytes; every value written is
+        membership) touches changed bytes.  Only the columns of rows
+        those chains reach are built, and every value written is
         bit-identical to what :meth:`score_all` would produce on the
-        same superset, because both run the same per-offset body and
-        the data-model term is summed per chain span (a span of
-        unchanged bytes sums to the identical float either way).
+        same superset: the kernel sums each chain's terms in the same
+        order whichever starts it walks.
         """
-        data_lp_byte = self._data_lp_bytes(superset.text)
-        ascii_penalty = self._ascii_penalty(superset.text)
-        for offset in offsets:
-            if superset.is_valid(offset):
-                scores[offset] = self._chain_score(superset, offset, None,
-                                                   data_lp_byte,
-                                                   ascii_penalty)
-            else:
-                scores[offset] = UNDECODABLE_SCORE
+        starts = superset.chain_columns.valid_starts(offsets)
+        scores[offsets] = UNDECODABLE_SCORE
+        path = superset.chain_columns.walk(starts, self.window)
+        scores[starts] = self._chain_scores(superset, starts, path)
 
-    def _chain_score(self, superset: Superset, offset: int,
-                     tokens: list | None, data_lp_byte: np.ndarray,
-                     ascii_penalty: np.ndarray) -> float:
-        """The shared per-offset scoring body (valid offsets only)."""
-        chain = superset.fallthrough_chain(offset, self.window)
-        context = (START, START)
-        code_lp = 0.0
-        for ins in chain:
-            token = tokens[ins.offset] if tokens is not None \
-                else token_of(ins)
-            code_lp += self.code_model.log_prob(token, context)
-            context = (context[1], token)
-        span = chain[-1].end - offset
-        data_lp = data_lp_byte[offset:offset + span].sum()
-        return (code_lp - data_lp) / span - ascii_penalty[offset]
+    def _chain_scores(self, superset: Superset, starts: np.ndarray,
+                      path: np.ndarray) -> np.ndarray:
+        """Scores of the walked chains ``path`` starting at ``starts``."""
+        if not len(path):
+            raise ValueError("statistical scoring needs window >= 1")
+        columns = superset.chain_columns
+        last = last_rows(path, chain_lengths(columns, path))
+        spans = columns.end[last] - starts
+        code_lp = code_log_probs(columns, path, self.code_model)
+        data_lp = span_log_probs(self._data_lp_bytes(superset.text),
+                                 starts, spans)
+        penalty = self._ascii_penalty(superset.text)[starts]
+        return (code_lp - data_lp) / spans - penalty
+
+    @cached_property
+    def _byte_log_probs(self) -> np.ndarray:
+        """``data_model.log_prob_byte`` of every byte value."""
+        return np.array([self.data_model.log_prob_byte(b)
+                         for b in range(256)])
 
     def _data_lp_bytes(self, text: bytes) -> np.ndarray:
-        return np.array(
-            [self.data_model.log_prob_byte(b) for b in text])
+        return self._byte_log_probs[np.frombuffer(text, dtype=np.uint8)]
 
     @staticmethod
     def _ascii_penalty(text: bytes) -> np.ndarray:

@@ -18,7 +18,7 @@ from itertools import repeat
 from ..isa import decoder as _decoder
 from ..isa.decoder import try_decode
 from ..isa.instruction import Instruction
-from ..isa.opcodes import FlowKind
+from ..isa.opcodes import FlowKind, NO_FALLTHROUGH
 from ..isa.operands import MemOp, RelOp
 from ..isa.tables import MAX_INSTRUCTION_LENGTH
 from ..obs.metrics import REGISTRY
@@ -206,30 +206,22 @@ class Superset:
         return counts
 
     @cached_property
-    def _fallthrough_next(self) -> list[int]:
-        """Per-offset fall-through successor (-1 where execution stops).
-
-        Chain walks are the hottest inner loop of both scoring passes;
-        precomputing the next-offset array once removes the per-step
-        property lookups (``falls_through`` tests enum membership) that
-        otherwise dominate.
-        """
-        nxt = [-1] * len(self.instructions)
-        for offset, ins in enumerate(self.instructions):
-            if ins is not None and ins.falls_through:
-                nxt[offset] = ins.end
-        return nxt
+    def chain_columns(self):
+        """Per-offset chain-scoring columns, built lazily and cached with
+        the superset (see :class:`repro.analysis.chains.ChainColumns`)."""
+        from ..analysis.chains import ChainColumns
+        return ChainColumns(self)
 
     def fallthrough_chain(self, offset: int, limit: int) -> list[Instruction]:
         """Up to ``limit`` candidates following only fall-through edges.
 
         The chain stops at non-fall-through flow, at undecodable bytes,
-        or at the end of the section.  Used by behavioral and statistical
-        scoring, both of which examine a bounded execution window.
+        or at the end of the section.  The per-offset view of the window
+        that behavioral and statistical scoring examine; whole-section
+        scoring walks every chain at once over :attr:`chain_columns`.
         """
         chain: list[Instruction] = []
         instructions = self.instructions
-        nxt = self._fallthrough_next
         size = len(instructions)
         current = offset
         while 0 <= current < size and len(chain) < limit:
@@ -237,7 +229,9 @@ class Superset:
             if ins is None:
                 break
             chain.append(ins)
-            current = nxt[current]
+            if ins.flow in NO_FALLTHROUGH:
+                break
+            current = ins.end
         return chain
 
     def occluded_by(self, offset: int) -> list[int]:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import Disassembler, FactBase, disassemble_incremental
 from repro.core.engine import diff_spans
+from repro.isa.tables import MAX_INSTRUCTION_LENGTH
 from repro.synth import BinarySpec, GCC_LIKE, MSVC_LIKE, generate_binary
 
 
@@ -165,3 +166,27 @@ class TestColdFallbacks:
         assert stats.reason == "config"
         # The fallback still produces a full, correct disassembly.
         assert result.result.instruction_starts
+
+
+class TestBoundedRescore:
+    def test_one_byte_patch_builds_columns_near_the_patch(self, models):
+        """Near-hit rescoring must never fall back to whole-section
+        chain columns: a 1-byte patch builds rows only inside its dirty
+        ranges plus one chain reach past them."""
+        case = generate_binary(BinarySpec(name="inc-bounded", style=GCC_LIKE,
+                                          function_count=30, seed=3))
+        text = case.binary.text.data
+        assert len(text) >= 12 * 1024
+        disassembler = Disassembler()
+        rich = disassembler.disassemble_rich(case)
+        base = FactBase.from_run(rich, disassembler.config)
+        reach = disassembler.config.chain_window * MAX_INSTRUCTION_LENGTH
+        for position in (0.1, 0.5, 0.9):
+            offset = int(len(text) * position)
+            target = patched(case, {offset: text[offset] ^ 0x01})
+            _, stats = disassemble_incremental(disassembler, base, target)
+            dirty = sum(hi - lo for lo, hi in stats.dirty_ranges)
+            assert not stats.cold
+            assert stats.stat_rescored == dirty      # no ASCII-run flips
+            assert 0 < stats.columns_built <= dirty + reach
+            assert stats.columns_built < len(text) // 20
