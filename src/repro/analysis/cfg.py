@@ -11,8 +11,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from ..isa.instruction import Instruction
 from ..isa.opcodes import FlowKind
 from ..superset.superset import Superset
@@ -37,16 +35,22 @@ class BasicBlock:
 
 @dataclass
 class ControlFlowGraph:
-    """Basic blocks plus a networkx digraph over their start offsets."""
+    """Basic blocks plus successor and predecessor sets keyed by block start.
+
+    Every block start has an entry in both maps (possibly empty).  Edges
+    are sets, so a duplicate edge (a ``jcc`` whose target is its own
+    fall-through) is stored once.
+    """
 
     blocks: dict[int, BasicBlock]
-    graph: nx.DiGraph
+    succs: dict[int, set[int]]
+    preds: dict[int, set[int]]
 
     def successors(self, start: int) -> list[int]:
-        return sorted(self.graph.successors(start))
+        return sorted(self.succs[start])
 
     def predecessors(self, start: int) -> list[int]:
-        return sorted(self.graph.predecessors(start))
+        return sorted(self.preds[start])
 
     def reachable_from(self, roots: Iterable[int]) -> set[int]:
         """Block starts reachable from any root (intraprocedural edges).
@@ -61,7 +65,7 @@ class ControlFlowGraph:
             if node in seen:
                 continue
             seen.add(node)
-            stack.extend(self.graph.successors(node))
+            stack.extend(self.succs[node])
         return seen
 
 
@@ -108,17 +112,17 @@ def build_cfg(superset: Superset, accepted: set[int]) -> ControlFlowGraph:
         if block.instructions:
             blocks[leader] = block
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(blocks)
+    succs: dict[int, set[int]] = {start: set() for start in blocks}
+    preds: dict[int, set[int]] = {start: set() for start in blocks}
     for start, block in blocks.items():
         terminator = block.terminator
-        if terminator.falls_through and terminator.flow is not FlowKind.CALL \
-                and terminator.end in blocks:
-            graph.add_edge(start, terminator.end)
-        if terminator.flow is FlowKind.CALL and terminator.end in blocks:
-            graph.add_edge(start, terminator.end)
+        targets = []
+        if terminator.falls_through and terminator.end in blocks:
+            targets.append(terminator.end)
         if terminator.flow in (FlowKind.JUMP, FlowKind.CJUMP):
-            target = terminator.branch_target
+            targets.append(terminator.branch_target)
+        for target in targets:
             if target in blocks:
-                graph.add_edge(start, target)
-    return ControlFlowGraph(blocks=blocks, graph=graph)
+                succs[start].add(target)
+                preds[target].add(start)
+    return ControlFlowGraph(blocks=blocks, succs=succs, preds=preds)

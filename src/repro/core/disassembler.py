@@ -24,7 +24,7 @@ from ..binary.image import MemoryImage
 from ..binary.loader import TestCase
 from ..obs.provenance import ProvenanceLog
 from ..obs.trace import current_tracer, phase_span
-from ..perf import PhaseTimings
+from ..perf import PhaseTimings, gc_paused
 from ..result import DisassemblyResult
 from ..stats.datamodel import TableCandidate, find_jump_tables
 from ..stats.scoring import StatisticalScorer
@@ -92,6 +92,7 @@ class Disassembler:
         """Disassemble and return the result only."""
         return self.disassemble_rich(target, entry=entry).result
 
+    @gc_paused()
     def disassemble_rich(self, target: Binary | TestCase | bytes,
                          entry: int | None = None, *,
                          timings: PhaseTimings | None = None) -> Disassembly:
@@ -100,7 +101,8 @@ class Disassembler:
         ``timings`` lets a caller accumulate phase durations across
         many runs into one :class:`PhaseTimings` (the serving layer
         aggregates per-batch worker timings this way); by default each
-        run gets a fresh timer.
+        run gets a fresh timer.  The cyclic garbage collector is paused
+        for the run (:func:`~repro.perf.gc_paused`).
         """
         text, entry, image = _extract(target, entry)
         config = self.config

@@ -43,7 +43,7 @@ from ...isa.tables import MAX_INSTRUCTION_LENGTH
 from ...obs.metrics import REGISTRY
 from ...obs.provenance import ProvenanceLog
 from ...obs.trace import current_tracer, phase_span
-from ...perf import PhaseTimings
+from ...perf import PhaseTimings, gc_paused
 from ...superset import superset as superset_mod
 from ...superset.superset import _RUN_FAST_WINDOW, Superset
 from ..config import DisassemblerConfig
@@ -199,6 +199,7 @@ def _patch_superset(old: Superset, text: bytes,
     return Superset(text=text, instructions=instructions)
 
 
+@gc_paused()
 def disassemble_incremental(disassembler, base: FactBase, target,
                             entry: int | None = None, *,
                             timings: PhaseTimings | None = None):
@@ -209,6 +210,8 @@ def disassemble_incremental(disassembler, base: FactBase, target,
     reused exactly: different config, a shrunk text, or a snapshot
     missing a score component the config needs.  A *grown* text is
     handled incrementally (the extension is treated as changed bytes).
+    Like a cold run, it pauses the cyclic garbage collector; the pause
+    nests, so the cold fallback does not collect on its own.
     """
     from ..disassembler import _extract, combine_scores
     config = disassembler.config

@@ -10,14 +10,19 @@ threads through those phases; the result is surfaced three ways:
 * printed by the CLI under ``--profile``,
 * dumped machine-readably via :func:`write_bench_json` so benchmark
   runs leave a ``BENCH_*.json`` artifact later PRs can diff against.
+
+:func:`gc_paused` keeps CPython's cyclic collector out of one pipeline
+run (see DESIGN.md, "Garbage collection during the pipeline").
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
 import sys
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -100,6 +105,46 @@ class PhaseTimings:
                          f"  {share:5.1f}%")
         lines.append(f"{'total'.ljust(width)}  {self.total * 1000:9.1f}ms")
         return "\n".join(lines)
+
+
+# The collector is process-wide state, so the pause bookkeeping is too:
+# one lock, the number of open pauses, and whether the outermost one
+# found the collector enabled.
+_GC_LOCK = threading.Lock()
+_gc_depth = 0
+_gc_resume = False
+
+
+@contextmanager
+def gc_paused():
+    """Run a ``with`` block with the cyclic garbage collector disabled.
+
+    A disassembly allocates a few tracked objects per text byte, almost
+    none of which can form a cycle, yet every full collection would
+    re-traverse all of them.  Pauses nest (and may overlap across
+    threads): only the outermost entry disables the collector, and only
+    if it was enabled.  The outermost exit re-enables it and runs one
+    ``gc.collect(1)``, so each run pays for the first scan of its own
+    survivors (and frees the engine's reference cycles) inside its own
+    time rather than in whatever code allocates next.  A collector the
+    caller had disabled stays disabled and nothing is collected.
+    """
+    global _gc_depth, _gc_resume
+    with _GC_LOCK:
+        if _gc_depth == 0:
+            _gc_resume = gc.isenabled()
+            gc.disable()
+        _gc_depth += 1
+    try:
+        yield
+    finally:
+        with _GC_LOCK:
+            _gc_depth -= 1
+            resume = _gc_depth == 0 and _gc_resume
+            if resume:
+                gc.enable()
+        if resume:
+            gc.collect(1)
 
 
 #: Schema tag shared by every ``BENCH_*.json`` artifact.

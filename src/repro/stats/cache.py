@@ -76,8 +76,8 @@ def save_models(key: str, code: NgramModel, data: DataByteModel) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = json.dumps({
         "version": MODEL_FORMAT_VERSION,
-        "code": json.loads(code.to_json()),
-        "data": json.loads(data.to_json()),
+        "code": code.to_dict(),
+        "data": data.to_dict(),
     })
     # Write-then-rename so a concurrent reader never sees a torn file.
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -99,10 +99,10 @@ def load_models(key: str) -> tuple[NgramModel, DataByteModel] | None:
     path = model_path(key)
     try:
         raw = json.loads(path.read_text())
-        if raw.get("version") != MODEL_FORMAT_VERSION:
+        if not isinstance(raw, dict) \
+                or raw.get("version") != MODEL_FORMAT_VERSION:
             return None
-        code = NgramModel.from_json(json.dumps(raw["code"]))
-        data = DataByteModel.from_json(json.dumps(raw["data"]))
-        return code, data
-    except (OSError, ValueError, KeyError, TypeError):
+        return (NgramModel.from_dict(raw["code"]),
+                DataByteModel.from_dict(raw["data"]))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None

@@ -56,12 +56,18 @@ class DataByteModel:
     def log_prob(self, blob: bytes) -> float:
         return sum(self.log_prob_byte(b) for b in blob)
 
+    def to_dict(self) -> dict:
+        return {"counts": self.counts, "total": self.total}
+
     def to_json(self) -> str:
-        return json.dumps({"counts": self.counts, "total": self.total})
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> DataByteModel:
-        raw = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> DataByteModel:
         model = cls()
         model.counts = list(raw["counts"])
         model.total = raw["total"]

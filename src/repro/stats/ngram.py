@@ -129,8 +129,8 @@ class NgramModel:
     # Serialization
     # ------------------------------------------------------------------
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        return {
             "weights": list(self.weights),
             "total": self.total,
             "unigrams": dict(self.unigrams),
@@ -138,11 +138,17 @@ class NgramModel:
                         for (a, b), c in self.bigrams.items()},
             "trigrams": {f"{a}\t{b}\t{c}": n
                          for (a, b, c), n in self.trigrams.items()},
-        })
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> NgramModel:
-        raw = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> NgramModel:
         model = cls(weights=tuple(raw["weights"]))
         model.total = raw["total"]
         model.unigrams = Counter(raw["unigrams"])

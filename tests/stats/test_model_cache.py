@@ -7,7 +7,8 @@ import pytest
 from repro.stats import cache
 from repro.stats.datamodel import DataByteModel
 from repro.stats.ngram import NgramModel, START
-from repro.stats.training import default_models, default_training_key
+from repro.stats.training import (default_models, default_training_key,
+                                  train_models)
 
 
 @pytest.fixture
@@ -56,6 +57,35 @@ class TestRoundTrip:
                 == code.log_prob(token, context)
         assert loaded_data.log_prob(b"\x00hello") == data.log_prob(b"\x00hello")
 
+    def test_from_dict_and_from_json_score_identically(self):
+        code, data = small_models()
+        via_dict = (NgramModel.from_dict(code.to_dict()),
+                    DataByteModel.from_dict(data.to_dict()))
+        via_json = (NgramModel.from_json(code.to_json()),
+                    DataByteModel.from_json(data.to_json()))
+        tokens = ["push:r64", "mov:r64r64", "sub:r64i", "never-seen:"]
+        assert via_dict[0].score_sequence(tokens) \
+            == via_json[0].score_sequence(tokens) \
+            == code.score_sequence(tokens)
+        blob = b"\x00hello world\xff"
+        assert via_dict[1].log_prob(blob) == via_json[1].log_prob(blob) \
+            == data.log_prob(blob)
+
+
+#: Valid JSON that is not a model pair, and (None) a truncated file.
+CORRUPT_PAYLOADS = ["[]", "null", '{"version": 1, "code": []}', None]
+
+
+def write_corrupt(key: str, payload: str | None) -> None:
+    if payload is None:
+        path = cache.save_models(key, *small_models())
+        blob = path.read_bytes()
+        path.write_bytes(blob[:len(blob) // 2])
+    else:
+        path = cache.model_path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(payload)
+
 
 class TestMissAndCorruption:
     def test_missing_key_is_a_miss(self, tmp_cache):
@@ -65,6 +95,33 @@ class TestMissAndCorruption:
         cache.model_path("bad").parent.mkdir(parents=True, exist_ok=True)
         cache.model_path("bad").write_text("{not json")
         assert cache.load_models("bad") is None
+
+    @pytest.mark.parametrize("payload", CORRUPT_PAYLOADS,
+                             ids=lambda p: p or "truncated")
+    def test_non_model_payload_is_a_miss(self, tmp_cache, payload):
+        write_corrupt("odd", payload)
+        assert cache.load_models("odd") is None
+
+    @pytest.mark.parametrize("payload", CORRUPT_PAYLOADS,
+                             ids=lambda p: p or "truncated")
+    def test_default_models_retrains_over_corrupt_file(
+            self, tmp_cache, monkeypatch, payload):
+        # An empty training corpus keeps the retrain cheap; what matters
+        # is that the corrupt file is a miss and gets replaced.
+        import repro.synth.corpus as corpus
+        monkeypatch.setattr(corpus, "generate_corpus", lambda **_: [])
+        key = default_training_key()
+        write_corrupt(key, payload)
+        default_models.cache_clear()
+        try:
+            models = default_models()
+        finally:
+            default_models.cache_clear()
+        retrained = train_models([])
+        assert models.data.counts == retrained.data.counts
+        loaded = cache.load_models(key)
+        assert loaded is not None
+        assert loaded[1].counts == retrained.data.counts
 
     def test_version_mismatch_is_a_miss(self, tmp_cache):
         code, data = small_models()

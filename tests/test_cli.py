@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -264,3 +269,24 @@ class TestTraceFlag:
         assert main(["disasm", str(generated.with_suffix(".bin"))]) == 0
         capsys.readouterr()
         assert validate_jsonl(path)["spans"] > 0
+
+
+class TestNoNetworkx:
+    def test_disasm_json_runs_with_networkx_unimportable(self, generated,
+                                                         capsys):
+        # ``sys.modules[name] = None`` makes any import of it raise, so
+        # this fails if the CLI or the pipeline touches networkx.
+        binary = str(generated.with_suffix(".bin"))
+        assert main(["disasm", "--json", binary]) == 0
+        expected = capsys.readouterr().out
+        script = ("import sys; sys.modules['networkx'] = None; "
+                  "import repro.cli; "
+                  "sys.exit(repro.cli.main(['disasm', '--json', "
+                  "sys.argv[1]]))")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script, binary],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
