@@ -23,22 +23,18 @@ Quickstart::
     print(result.summary())
 """
 
-from .binary import Binary, GroundTruth, Section, TestCase
-from .core import DEFAULT_CONFIG, Disassembler, DisassemblerConfig
-from .emulator import Emulator, validate_dynamically
-from .listing import classify_data_regions, render_listing
-from .result import DisassemblyResult
-from .rewrite import RewrittenBinary, rewrite_binary
-from .synth import (BinarySpec, CompilerStyle, generate_binary,
-                    generate_corpus)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Binary", "GroundTruth", "Section", "TestCase", "DEFAULT_CONFIG",
-    "Disassembler", "DisassemblerConfig", "DisassemblyResult",
-    "Emulator", "validate_dynamically", "classify_data_regions",
-    "render_listing", "RewrittenBinary", "rewrite_binary",
-    "BinarySpec", "CompilerStyle", "generate_binary", "generate_corpus",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "binary": ("Binary", "GroundTruth", "Section", "TestCase"),
+    "core": ("DEFAULT_CONFIG", "Disassembler", "DisassemblerConfig"),
+    "result": ("DisassemblyResult",),
+    "emulator": ("Emulator", "validate_dynamically"),
+    "listing": ("classify_data_regions", "render_listing"),
+    "rewrite": ("RewrittenBinary", "rewrite_binary"),
+    "synth": ("BinarySpec", "CompilerStyle", "generate_binary",
+              "generate_corpus"),
+})
+__all__.append("__version__")

@@ -1,16 +1,12 @@
 """Behavioral static analyses over superset candidates."""
 
-from .behavior import (DEFAULT_WEIGHTS, BehaviorAnalyzer, BehaviorReport,
-                       BehaviorWeights)
-from .cfg import BasicBlock, ControlFlowGraph, build_cfg
-from .defuse import CONVENTIONALLY_LIVE, DefUseSignals, analyze_chain
-from .idioms import (PROLOGUE_THRESHOLD, is_epilogue_end,
-                     likely_function_starts, padding_kind, prologue_score)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_WEIGHTS", "BehaviorAnalyzer", "BehaviorReport",
-    "BehaviorWeights", "BasicBlock", "ControlFlowGraph", "build_cfg",
-    "CONVENTIONALLY_LIVE", "DefUseSignals", "analyze_chain",
-    "PROLOGUE_THRESHOLD", "is_epilogue_end", "likely_function_starts",
-    "padding_kind", "prologue_score",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "behavior": ("DEFAULT_WEIGHTS", "BehaviorAnalyzer", "BehaviorReport",
+                 "BehaviorWeights"),
+    "cfg": ("BasicBlock", "ControlFlowGraph", "build_cfg"),
+    "defuse": ("CONVENTIONALLY_LIVE", "DefUseSignals", "analyze_chain"),
+    "idioms": ("PROLOGUE_THRESHOLD", "is_epilogue_end",
+               "likely_function_starts", "padding_kind", "prologue_score"),
+})

@@ -1,10 +1,11 @@
 """Baseline disassembly algorithms the paper compares against."""
 
-from .heuristic import heuristic_descent
-from .linear import linear_sweep
-from .oracle import oracle
-from .probabilistic import probabilistic_disassembly
-from .recursive import recursive_descent
+from .._lazy import lazy_exports
 
-__all__ = ["heuristic_descent", "linear_sweep", "oracle",
-           "probabilistic_disassembly", "recursive_descent"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "heuristic": ("heuristic_descent",),
+    "linear": ("linear_sweep",),
+    "oracle": ("oracle",),
+    "probabilistic": ("probabilistic_disassembly",),
+    "recursive": ("recursive_descent",),
+})

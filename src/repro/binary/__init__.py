@@ -1,8 +1,9 @@
 """Binary container, ground-truth labels, and paired I/O."""
 
-from .container import Binary, BinaryFormatError, Section
-from .groundtruth import ByteKind, FunctionInfo, GroundTruth
-from .loader import TestCase
+from .._lazy import lazy_exports
 
-__all__ = ["Binary", "BinaryFormatError", "Section", "ByteKind",
-           "FunctionInfo", "GroundTruth", "TestCase"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "container": ("Binary", "BinaryFormatError", "Section"),
+    "groundtruth": ("ByteKind", "FunctionInfo", "GroundTruth"),
+    "loader": ("TestCase",),
+})

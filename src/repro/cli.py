@@ -16,17 +16,18 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from .binary.loader import TestCase
 from .core.config import DisassemblerConfig
 from .core.disassembler import Disassembler
-from .eval.metrics import evaluate
 from .formats import FormatError, LoadedImage, load_any
-from .listing import classify_data_regions, render_listing
-from .synth.corpus import BinarySpec, generate_binary
 from .synth.styles import STYLES, style_by_name
+
+# Each command imports what only it needs inside its handler: every
+# process imports this module, and most run ``disasm``.
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .synth.corpus import BinarySpec, generate_binary
+
     out = Path(args.output)
     directory = out.parent if out.parent != Path("") else Path(".")
     if args.seed_range is not None:
@@ -68,21 +69,26 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_image(path: Path) -> LoadedImage:
+def _load_image(command: str, raw: str) -> LoadedImage | None:
     """Load any supported container (RPRB / ELF64 / PE32+) by magic.
 
-    Parse failures surface as :class:`FormatError`; the command
-    handlers turn them into a one-line stderr message and exit code 2
-    instead of a traceback.
+    A file that cannot be read or parsed prints the one-line message
+    ``command: PATH: reason`` to stderr and returns None; the command
+    handlers then exit with status 2 instead of a traceback.
     """
-    return load_any(path.read_bytes())
+    try:
+        return load_any(Path(raw).read_bytes())
+    except OSError as error:
+        reason = error.strerror or str(error)
+    except FormatError as error:
+        reason = str(error)
+    print(f"{command}: {raw}: {reason}", file=sys.stderr)
+    return None
 
 
 def _cmd_disasm(args: argparse.Namespace) -> int:
-    try:
-        image = _load_image(Path(args.binary))
-    except FormatError as error:
-        print(f"disasm: {args.binary}: {error}", file=sys.stderr)
+    image = _load_image("disasm", args.binary)
+    if image is None:
         return 2
     binary = image.binary
     disassembler = Disassembler()
@@ -94,6 +100,8 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
         # /v1/disassemble response embeds exactly these bytes.
         print(result.to_json())
         return 0
+    from .listing import classify_data_regions, render_listing
+
     print(result.summary())
     if args.profile:
         print("\nphase timings:")
@@ -124,10 +132,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print("lint: a binary is required unless --list-rules is given",
               file=sys.stderr)
         return 2
-    try:
-        image = _load_image(Path(args.binary))
-    except FormatError as error:
-        print(f"lint: {args.binary}: {error}", file=sys.stderr)
+    image = _load_image("lint", args.binary)
+    if image is None:
         return 2
     binary = image.binary
     config = DisassemblerConfig(use_lint_feedback=args.feedback,
@@ -158,6 +164,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .binary.loader import TestCase
+    from .eval.metrics import evaluate
+
     base = Path(args.case)
     case = TestCase.load(base.parent if base.parent != Path("")
                          else Path("."), base.name)
@@ -176,11 +185,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_rewrite(args: argparse.Namespace) -> int:
     from .rewrite import rewrite_binary
 
-    try:
-        binary = _load_image(Path(args.binary)).binary
-    except FormatError as error:
-        print(f"rewrite: {args.binary}: {error}", file=sys.stderr)
+    image = _load_image("rewrite", args.binary)
+    if image is None:
         return 2
+    binary = image.binary
     disassembler = Disassembler()
     rich = disassembler.disassemble_rich(binary)
     rewritten = rewrite_binary(rich, binary,
@@ -281,10 +289,8 @@ def _classification_of(result, offset: int) -> str:
 def _cmd_explain(args: argparse.Namespace) -> int:
     import json
 
-    try:
-        image = _load_image(Path(args.binary))
-    except FormatError as error:
-        print(f"explain: {args.binary}: {error}", file=sys.stderr)
+    image = _load_image("explain", args.binary)
+    if image is None:
         return 2
     binary = image.binary
     try:
@@ -340,11 +346,12 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         print("metrics: a binary or --server HOST:PORT is required",
               file=sys.stderr)
         return 2
-    try:
-        image = _load_image(Path(args.binary))
-    except FormatError as error:
-        print(f"metrics: {args.binary}: {error}", file=sys.stderr)
+    image = _load_image("metrics", args.binary)
+    if image is None:
         return 2
+    # The dump lists every pipeline metric family, including those of
+    # stages this run does not reach (their modules register them).
+    from .lint import engine  # noqa: F401
     Disassembler().disassemble(image.binary)
     if args.format == "json":
         print(json.dumps(REGISTRY.snapshot(), indent=2))

@@ -1,18 +1,14 @@
 """The paper's contribution: prioritized error-correcting disassembly."""
 
-from .config import ABLATION_CONFIGS, DEFAULT_CONFIG, DisassemblerConfig
-from .correction import CorrectionEngine, TraceOutcome
-from .disassembler import Disassembler, Disassembly
-from .engine import (FactBase, FactEngine, create_engine,
-                     disassemble_incremental, engine_backend)
-from .evidence import (Classification, ClassificationState, Evidence,
-                       Priority)
-from .functions import FunctionSpan, identify_functions
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ABLATION_CONFIGS", "DEFAULT_CONFIG", "DisassemblerConfig",
-    "CorrectionEngine", "TraceOutcome", "Disassembler", "Disassembly",
-    "Classification", "ClassificationState", "Evidence", "FactBase",
-    "FactEngine", "Priority", "FunctionSpan", "create_engine",
-    "disassemble_incremental", "engine_backend", "identify_functions",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "config": ("ABLATION_CONFIGS", "DEFAULT_CONFIG", "DisassemblerConfig"),
+    "correction": ("CorrectionEngine", "TraceOutcome"),
+    "disassembler": ("Disassembler", "Disassembly"),
+    "engine": ("FactBase", "FactEngine", "create_engine",
+               "disassemble_incremental", "engine_backend"),
+    "evidence": ("Classification", "ClassificationState", "Evidence",
+                 "Priority"),
+    "functions": ("FunctionSpan", "identify_functions"),
+})

@@ -1,13 +1,11 @@
 """Evaluation harness: metrics, dataset, experiment runners."""
 
-from .dataset import (EVAL_FUNCTIONS, EVAL_SEEDS, CaseCharacteristics,
-                      characteristics, evaluation_corpus)
-from .metrics import (ByteErrors, Evaluation, PrecisionRecall, aggregate,
-                      evaluate)
-from .report import Table
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EVAL_FUNCTIONS", "EVAL_SEEDS", "CaseCharacteristics",
-    "characteristics", "evaluation_corpus", "ByteErrors", "Evaluation",
-    "PrecisionRecall", "aggregate", "evaluate", "Table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "dataset": ("EVAL_FUNCTIONS", "EVAL_SEEDS", "CaseCharacteristics",
+                "characteristics", "evaluation_corpus"),
+    "metrics": ("ByteErrors", "Evaluation", "PrecisionRecall", "aggregate",
+                "evaluate"),
+    "report": ("Table",),
+})

@@ -11,45 +11,18 @@ deterministic trend document plus Prometheus-scrapeable ``fleet_*``
 metrics and a regression gate (:mod:`repro.fleet.aggregate`).
 """
 
-from .aggregate import (TREND_SCHEMA, aggregate, check_separation,
-                        compare_trends, load_trend, publish_metrics,
-                        render_report, trend_json, write_trend)
-from .analysis import ALL_TOOLS, BASELINES, CORRECTED, analyze_item
-from .driver import (DEFAULT_SHARD_SIZE, SHARD_SCHEMA, FleetConfig,
-                     load_run_reports, run_fleet)
-from .manifest import (MANIFEST_SCHEMA, FleetItem, Manifest,
-                       ingest_directory, parse_seed_range, plan_grid)
-from .taxonomy import (ALL_CLASSES, EXPECTED_SEPARATIONS,
-                       LINT_RULE_TAXONOMY, ErrorClass, taxonomy_of)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALL_CLASSES",
-    "ALL_TOOLS",
-    "BASELINES",
-    "CORRECTED",
-    "DEFAULT_SHARD_SIZE",
-    "EXPECTED_SEPARATIONS",
-    "ErrorClass",
-    "FleetConfig",
-    "FleetItem",
-    "LINT_RULE_TAXONOMY",
-    "MANIFEST_SCHEMA",
-    "Manifest",
-    "SHARD_SCHEMA",
-    "TREND_SCHEMA",
-    "aggregate",
-    "analyze_item",
-    "check_separation",
-    "compare_trends",
-    "ingest_directory",
-    "load_run_reports",
-    "load_trend",
-    "parse_seed_range",
-    "plan_grid",
-    "publish_metrics",
-    "render_report",
-    "run_fleet",
-    "taxonomy_of",
-    "trend_json",
-    "write_trend",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "aggregate": ("TREND_SCHEMA", "aggregate", "check_separation",
+                  "compare_trends", "load_trend", "publish_metrics",
+                  "render_report", "trend_json", "write_trend"),
+    "analysis": ("ALL_TOOLS", "BASELINES", "CORRECTED", "analyze_item"),
+    "defaults": ("DEFAULT_SHARD_SIZE",),
+    "driver": ("SHARD_SCHEMA", "FleetConfig", "load_run_reports",
+               "run_fleet"),
+    "manifest": ("MANIFEST_SCHEMA", "FleetItem", "Manifest",
+                 "ingest_directory", "parse_seed_range", "plan_grid"),
+    "taxonomy": ("ALL_CLASSES", "EXPECTED_SEPARATIONS", "LINT_RULE_TAXONOMY",
+                 "ErrorClass", "taxonomy_of"),
+})

@@ -16,14 +16,16 @@ import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..synth.styles import STYLES
-from .aggregate import (aggregate, check_separation, compare_trends,
-                        load_trend, publish_metrics, render_report,
-                        trend_json, write_trend)
-from .driver import DEFAULT_SHARD_SIZE, FleetConfig, run_fleet
-from .manifest import (Manifest, ingest_directory, parse_seed_range,
-                       plan_grid)
+from .defaults import DEFAULT_SHARD_SIZE
+
+if TYPE_CHECKING:
+    from .manifest import Manifest
+
+# Every CLI process registers this parser, so the handlers import the
+# fleet machinery themselves.
 
 
 @contextmanager
@@ -60,6 +62,9 @@ def _parse_functions(text: str) -> list[int]:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    from .manifest import (Manifest, ingest_directory, parse_seed_range,
+                           plan_grid)
+
     items: list = []
     if args.manifest:
         items.extend(Manifest.load(args.manifest).items)
@@ -90,6 +95,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _execute(manifest: Manifest, args: argparse.Namespace) -> int:
+    from .aggregate import (check_separation, compare_trends, load_trend,
+                            write_trend)
+    from .driver import FleetConfig, run_fleet
+
     config = FleetConfig(jobs=args.jobs, via=args.via,
                          server=args.server,
                          shard_size=args.shard_size,
@@ -121,6 +130,8 @@ def _execute(manifest: Manifest, args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .manifest import Manifest
+
     try:
         manifest = Manifest.load(args.manifest)
     except (OSError, ValueError) as error:
@@ -134,7 +145,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
-    from pathlib import Path
+    from .manifest import Manifest
+
     pinned = Path(args.rundir) / "manifest.json"
     try:
         manifest = Manifest.load(pinned)
@@ -155,7 +167,10 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .aggregate import (aggregate, publish_metrics, render_report,
+                            trend_json)
     from .driver import load_run_reports
+
     try:
         _, reports, missing = load_run_reports(args.rundir)
     except (OSError, ValueError) as error:
@@ -183,6 +198,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
+    from .aggregate import compare_trends, load_trend
+
     try:
         current = load_trend(args.current)
         baseline = load_trend(args.baseline)

@@ -34,13 +34,11 @@ from pathlib import Path
 from ..eval.parallel import effective_jobs
 from .aggregate import aggregate, publish_metrics, write_trend
 from .analysis import analyze_item
+from .defaults import DEFAULT_SHARD_SIZE
 from .manifest import Manifest
 
 #: Schema tag embedded in every shard checkpoint.
 SHARD_SCHEMA = "repro-fleet-shard-v1"
-
-#: Default items per checkpoint shard.
-DEFAULT_SHARD_SIZE = 25
 
 
 @dataclass(frozen=True)

@@ -18,23 +18,13 @@ disassembler -- the paper's metadata-free contract stays explicit.
 ``ET_EXEC`` ELF for round-trip testing (experiment R1).
 """
 
-from .detect import FORMAT_NAMES, SIGNATURES, detect_format, load_any
-from .elf import parse_elf
-from .emit_elf import emit_elf
-from .errors import FormatError
-from .hints import NO_HINTS, FormatHints, LoadedImage
-from .pe import parse_pe
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FORMAT_NAMES",
-    "FormatError",
-    "FormatHints",
-    "LoadedImage",
-    "NO_HINTS",
-    "SIGNATURES",
-    "detect_format",
-    "emit_elf",
-    "load_any",
-    "parse_elf",
-    "parse_pe",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "detect": ("FORMAT_NAMES", "SIGNATURES", "detect_format", "load_any"),
+    "elf": ("parse_elf",),
+    "emit_elf": ("emit_elf",),
+    "errors": ("FormatError",),
+    "hints": ("NO_HINTS", "FormatHints", "LoadedImage"),
+    "pe": ("parse_pe",),
+})

@@ -8,20 +8,16 @@ disassembly analyses need, and it provides a small assembler used by the
 synthetic binary generator.
 """
 
-from .decoder import (decode, decode_interp, decoder_backend, try_decode,
-                      try_decode_interp)
-from .encoder import Assembler, AssemblyError, Mem, mem, rip
-from .errors import (DecodeError, InvalidOpcodeError, TooLongError,
-                     TruncatedError)
-from .instruction import Instruction
-from .opcodes import FlowKind
-from .operands import ImmOp, MemOp, RegOp, RelOp
-from .registers import Register, reg, register_by_name
+from .._lazy import lazy_exports
 
-__all__ = [
-    "decode", "decode_interp", "decoder_backend", "try_decode",
-    "try_decode_interp", "Assembler", "AssemblyError", "Mem", "mem",
-    "rip", "DecodeError", "InvalidOpcodeError", "TooLongError",
-    "TruncatedError", "Instruction", "FlowKind", "ImmOp", "MemOp", "RegOp",
-    "RelOp", "Register", "reg", "register_by_name",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "decoder": ("decode", "decode_interp", "decoder_backend", "try_decode",
+                "try_decode_interp"),
+    "encoder": ("Assembler", "AssemblyError", "Mem", "mem", "rip"),
+    "errors": ("DecodeError", "InvalidOpcodeError", "TooLongError",
+               "TruncatedError"),
+    "instruction": ("Instruction",),
+    "opcodes": ("FlowKind",),
+    "operands": ("ImmOp", "MemOp", "RegOp", "RelOp"),
+    "registers": ("Register", "reg", "register_by_name"),
+})

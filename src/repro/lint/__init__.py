@@ -10,25 +10,15 @@ verification") for the invariant catalog and README for CLI usage.
 >>> report.errors                                      # doctest: +SKIP
 """
 
-from .context import ByteClaim, LintContext
-from .diagnostics import Diagnostic, LintReport, Severity
-from .engine import (DEFAULT_LINT_CONFIG, LintConfig, Linter,
-                     lint_disassembly)
-from .feedback import diagnostics_to_evidence
-from .registry import DEFAULT_REGISTRY, LintRule, RuleRegistry
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ByteClaim",
-    "DEFAULT_LINT_CONFIG",
-    "DEFAULT_REGISTRY",
-    "Diagnostic",
-    "LintConfig",
-    "LintContext",
-    "LintReport",
-    "LintRule",
-    "Linter",
-    "RuleRegistry",
-    "Severity",
-    "diagnostics_to_evidence",
-    "lint_disassembly",
-]
+# DEFAULT_REGISTRY is read through the engine, which imports the
+# built-in rules into it.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "context": ("ByteClaim", "LintContext"),
+    "diagnostics": ("Diagnostic", "LintReport", "Severity"),
+    "engine": ("DEFAULT_LINT_CONFIG", "DEFAULT_REGISTRY", "LintConfig",
+               "Linter", "lint_disassembly"),
+    "feedback": ("diagnostics_to_evidence",),
+    "registry": ("LintRule", "RuleRegistry"),
+})

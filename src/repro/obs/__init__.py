@@ -40,35 +40,15 @@ serve responses and benchmark output are byte-identical to an
 uninstrumented run.
 """
 
-from .metrics import REGISTRY, MetricsRegistry
-from .profile import (PROFILE_ENV, SamplingProfiler, profiling,
-                      profiler_active, samples_taken)
-from .provenance import DecisionEvent, ProvenanceLog
-from .store import RunRecord, RunStore, StoreError
-from .trace import (TRACE_ENV, Span, SpanContext, Tracer, activate,
-                    current_tracer, phase_span, set_tracer,
-                    tracing_active)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DecisionEvent",
-    "MetricsRegistry",
-    "PROFILE_ENV",
-    "ProvenanceLog",
-    "REGISTRY",
-    "RunRecord",
-    "RunStore",
-    "SamplingProfiler",
-    "Span",
-    "SpanContext",
-    "StoreError",
-    "TRACE_ENV",
-    "Tracer",
-    "activate",
-    "current_tracer",
-    "phase_span",
-    "profiler_active",
-    "profiling",
-    "samples_taken",
-    "set_tracer",
-    "tracing_active",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "metrics": ("REGISTRY", "MetricsRegistry"),
+    "profile": ("PROFILE_ENV", "SamplingProfiler", "profiling",
+                "profiler_active", "samples_taken"),
+    "provenance": ("DecisionEvent", "ProvenanceLog"),
+    "store": ("RunRecord", "RunStore", "StoreError"),
+    "trace": ("TRACE_ENV", "Span", "SpanContext", "Tracer", "activate",
+              "current_tracer", "phase_span", "set_tracer",
+              "tracing_active"),
+})

@@ -22,12 +22,13 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .ingest import IngestError, ingest_file
-from .report import (DEFAULT_NOISE, diff_revisions, load_noise_spec,
-                     regressions, render_markdown, report_revision)
-from .slo import evaluate, load_slo_spec, render_verdicts
-from .store import RunStore, StoreError
+if TYPE_CHECKING:
+    from .store import RunStore
+
+# Every CLI process registers this parser, so the handlers import the
+# store, ingest, report and SLO code themselves.
 
 
 def _git(*args: str) -> str | None:
@@ -41,6 +42,8 @@ def _git(*args: str) -> str | None:
 
 def _resolve_rev(store: RunStore, raw: str) -> str:
     """Map a user-supplied revision onto a recorded one."""
+    from .store import StoreError
+
     known = store.revisions()
     if raw in known:
         return raw
@@ -70,16 +73,23 @@ def _default_timestamp(rev: str) -> str | None:
 
 
 def _open_store(args: argparse.Namespace) -> RunStore:
+    from .store import RunStore
+
     return RunStore(args.store)
 
 
 def _noise(args: argparse.Namespace):
+    from .report import DEFAULT_NOISE, load_noise_spec
+
     if getattr(args, "noise", None):
         return load_noise_spec(args.noise)
     return DEFAULT_NOISE
 
 
 def cmd_record(args: argparse.Namespace) -> int:
+    from .ingest import IngestError, ingest_file
+    from .store import StoreError
+
     rev = args.rev or _default_rev()
     if not rev:
         print("obs record: --rev is required outside a git checkout",
@@ -108,6 +118,8 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    from .store import StoreError
+
     with _open_store(args) as store:
         try:
             rev = _resolve_rev(store, args.rev) if args.rev else None
@@ -140,6 +152,8 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_import(args: argparse.Namespace) -> int:
+    from .store import StoreError
+
     with _open_store(args) as store:
         try:
             added = store.import_jsonl(args.input)
@@ -153,6 +167,9 @@ def cmd_import(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
+    from .report import diff_revisions, regressions, render_markdown
+    from .store import StoreError
+
     with _open_store(args) as store:
         try:
             base = _resolve_rev(store, args.base)
@@ -181,6 +198,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .report import render_markdown, report_revision
+    from .store import StoreError
+
     with _open_store(args) as store:
         revisions = store.revisions()
         if not revisions:
@@ -209,6 +229,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_gate(args: argparse.Namespace) -> int:
+    from .slo import evaluate, load_slo_spec, render_verdicts
+    from .store import StoreError
+
     try:
         spec = load_slo_spec(args.spec)
     except (OSError, StoreError, json.JSONDecodeError) as error:
@@ -225,6 +248,8 @@ def cmd_gate(args: argparse.Namespace) -> int:
 
 def cmd_flame(args: argparse.Namespace) -> int:
     from .profile import PROFILE_SCHEMA, collapsed_from_doc
+    from .store import StoreError
+
     if args.profile:
         try:
             doc = json.loads(Path(args.profile).read_text())

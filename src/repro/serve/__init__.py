@@ -9,44 +9,19 @@ DESIGN.md ("Serving layer") for the architecture and README
 >>> run_server(ServeConfig(port=8080, workers=4))      # doctest: +SKIP
 """
 
-from .access_log import AccessLog
-from .cache import ResultCache, result_key
-from .client import (BackpressureError, DeadlineError, ServeClient,
-                     ServeError, TransportError)
-from .metrics import LatencySummary, ServeMetrics
-from .protocol import (PROTOCOL_VERSION, JobRequest, ProtocolError,
-                       config_fingerprint, config_from_overrides,
-                       encode_binary)
-from .scheduler import (DrainingError, JobCancelledError, JobFailedError,
-                        JobScheduler, JobTimeoutError, QueueFullError,
-                        SchedulerConfig)
-from .server import ServeApp, ServeConfig, run_server
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AccessLog",
-    "BackpressureError",
-    "DeadlineError",
-    "DrainingError",
-    "JobCancelledError",
-    "JobFailedError",
-    "JobRequest",
-    "JobScheduler",
-    "JobTimeoutError",
-    "LatencySummary",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "QueueFullError",
-    "ResultCache",
-    "SchedulerConfig",
-    "ServeApp",
-    "ServeClient",
-    "ServeConfig",
-    "ServeError",
-    "TransportError",
-    "ServeMetrics",
-    "config_fingerprint",
-    "config_from_overrides",
-    "encode_binary",
-    "result_key",
-    "run_server",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "access_log": ("AccessLog",),
+    "cache": ("ResultCache", "result_key"),
+    "client": ("BackpressureError", "DeadlineError", "ServeClient",
+               "ServeError", "TransportError"),
+    "metrics": ("LatencySummary", "ServeMetrics"),
+    "protocol": ("PROTOCOL_VERSION", "JobRequest", "ProtocolError",
+                 "config_fingerprint", "config_from_overrides",
+                 "encode_binary"),
+    "scheduler": ("DrainingError", "JobCancelledError", "JobFailedError",
+                  "JobScheduler", "JobTimeoutError", "QueueFullError",
+                  "SchedulerConfig"),
+    "server": ("ServeApp", "ServeConfig", "run_server"),
+})

@@ -180,7 +180,16 @@ def run_batch(items: list[tuple]) -> tuple:
 
 
 def _warm_worker() -> None:
-    """Process-pool initializer: load models before the first job."""
+    """Import what jobs use and load the models, before any job runs.
+
+    The pool initializer; :meth:`JobScheduler.start` runs it too.
+    Package imports are lazy, so without this the first request would
+    pay for importing the lint and incremental engines, and ``/metrics``
+    would lack their metric families until then.
+    """
+    from ..core.engine import incremental  # noqa: F401
+    from ..eval import parallel  # noqa: F401
+    from ..lint import engine  # noqa: F401
     from ..stats.training import default_models
 
     default_models()
@@ -248,12 +257,12 @@ class JobScheduler:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Warm models, start the pool and the dispatcher task."""
+        """Warm up, start the pool and the dispatcher task."""
         loop = asyncio.get_running_loop()
-        # Train/load once in the parent: forked workers inherit the
-        # in-process model cache; spawned workers hit the disk cache.
-        from ..stats.training import default_models
-        await loop.run_in_executor(None, default_models)
+        # Import and train/load once in the parent: forked workers
+        # inherit both; spawned workers warm up again and hit the disk
+        # cache.
+        await loop.run_in_executor(None, _warm_worker)
         if self.config.workers >= 1:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.config.workers,

@@ -1,16 +1,12 @@
 """Statistical code/data models: n-gram LM, data model, detectors."""
 
-from .datamodel import (AsciiRun, DataByteModel, TableCandidate,
-                        find_ascii_runs, find_jump_tables,
-                        find_padding_runs)
-from .ngram import NgramModel, token_of
-from .scoring import StatisticalScorer, UNDECODABLE_SCORE
-from .training import (Models, TRAINING_SEEDS, data_regions, default_models,
-                       token_sequences, train_models)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AsciiRun", "DataByteModel", "TableCandidate", "find_ascii_runs",
-    "find_jump_tables", "find_padding_runs", "NgramModel", "token_of",
-    "StatisticalScorer", "UNDECODABLE_SCORE", "Models", "TRAINING_SEEDS",
-    "data_regions", "default_models", "token_sequences", "train_models",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "datamodel": ("AsciiRun", "DataByteModel", "TableCandidate",
+                  "find_ascii_runs", "find_jump_tables", "find_padding_runs"),
+    "ngram": ("NgramModel", "token_of"),
+    "scoring": ("StatisticalScorer", "UNDECODABLE_SCORE"),
+    "training": ("Models", "TRAINING_SEEDS", "data_regions",
+                 "default_models", "token_sequences", "train_models"),
+})

@@ -26,7 +26,7 @@ from .datamodel import DataByteModel
 from .ngram import NgramModel
 
 #: Bump when the training pipeline or the JSON format changes shape.
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 def cache_dir() -> Path:

@@ -130,15 +130,28 @@ class NgramModel:
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "weights": list(self.weights),
-            "total": self.total,
-            "unigrams": dict(self.unigrams),
-            "bigrams": {f"{a}\t{b}": c
-                        for (a, b), c in self.bigrams.items()},
-            "trigrams": {f"{a}\t{b}\t{c}": n
-                         for (a, b, c), n in self.trigrams.items()},
-        }
+        """The counts as one token table plus flat integer lists.
+
+        ``unigrams`` holds ``token, count`` pairs, ``bigrams`` holds
+        ``a, b, count`` triples and ``trigrams`` holds ``a, b, c, count``
+        quadruples, each token an index into ``tokens``, in the order
+        the counters iterate.  The context counts are derived on load.
+        """
+        ids: dict[str, int] = {}
+
+        def flat(counter: Counter) -> list[int]:
+            out: list[int] = []
+            for key, count in counter.items():
+                for token in key if isinstance(key, tuple) else (key,):
+                    out.append(ids.setdefault(token, len(ids)))
+                out.append(count)
+            return out
+
+        counts = {"unigrams": flat(self.unigrams),
+                  "bigrams": flat(self.bigrams),
+                  "trigrams": flat(self.trigrams)}
+        return {"weights": list(self.weights), "total": self.total,
+                "tokens": list(ids), **counts}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -151,13 +164,32 @@ class NgramModel:
     def from_dict(cls, raw: dict) -> NgramModel:
         model = cls(weights=tuple(raw["weights"]))
         model.total = raw["total"]
-        model.unigrams = Counter(raw["unigrams"])
-        for key, count in raw["bigrams"].items():
-            a, b = key.split("\t")
-            model.bigrams[(a, b)] = count
-            model.bigram_context[a] += count
-        for key, count in raw["trigrams"].items():
-            a, b, c = key.split("\t")
-            model.trigrams[(a, b, c)] = count
-            model.trigram_context[(a, b)] += count
+        tokens = raw["tokens"]
+        unigrams, bigrams, trigrams = (raw["unigrams"], raw["bigrams"],
+                                       raw["trigrams"])
+        if len(unigrams) % 2 or len(bigrams) % 3 or len(trigrams) % 4:
+            raise ValueError("n-gram count lists of the wrong length")
+        model.unigrams = Counter(dict(zip(
+            map(tokens.__getitem__, unigrams[0::2]), unigrams[1::2])))
+        firsts = list(map(tokens.__getitem__, bigrams[0::3]))
+        model.bigrams = Counter(dict(zip(
+            zip(firsts, map(tokens.__getitem__, bigrams[1::3])),
+            bigrams[2::3])))
+        model.bigram_context = _sums(firsts, bigrams[2::3])
+        pairs = list(zip(map(tokens.__getitem__, trigrams[0::4]),
+                         map(tokens.__getitem__, trigrams[1::4])))
+        model.trigrams = Counter(dict(zip(
+            (pair + (token,) for pair, token in
+             zip(pairs, map(tokens.__getitem__, trigrams[2::4]))),
+            trigrams[3::4])))
+        model.trigram_context = _sums(pairs, trigrams[3::4])
         return model
+
+
+def _sums(keys: list, counts: list[int]) -> Counter:
+    """Per-key totals of ``counts``, keys in order of first appearance."""
+    sums: dict = {}
+    get = sums.get
+    for key, count in zip(keys, counts):
+        sums[key] = get(key, 0) + count
+    return Counter(sums)

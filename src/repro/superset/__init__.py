@@ -1,7 +1,9 @@
 """Superset disassembly and candidate conflict structure."""
 
-from .conflicts import conflicting_offsets, covering_candidates, no_overlap
-from .superset import Superset
+from .._lazy import lazy_exports
 
-__all__ = ["Superset", "conflicting_offsets", "covering_candidates",
-           "no_overlap"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "conflicts": ("conflicting_offsets", "covering_candidates",
+                  "no_overlap"),
+    "superset": ("Superset",),
+})

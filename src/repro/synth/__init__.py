@@ -1,15 +1,12 @@
 """Synthetic compiler: generates stripped binaries with exact ground truth."""
 
-from .codegen import FunctionGenerator, RodataAllocator
-from .corpus import (BinarySpec, density_style, generate_binary,
-                     generate_corpus)
-from .styles import (CLANG_LIKE, GCC_LIKE, MSVC_LIKE, STYLES, CompilerStyle,
-                     style_by_name)
-from .tracking import TrackedAssembler
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FunctionGenerator", "RodataAllocator", "BinarySpec", "density_style",
-    "generate_binary", "generate_corpus", "CLANG_LIKE", "GCC_LIKE",
-    "MSVC_LIKE", "STYLES", "CompilerStyle", "style_by_name",
-    "TrackedAssembler",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "codegen": ("FunctionGenerator", "RodataAllocator"),
+    "corpus": ("BinarySpec", "density_style", "generate_binary",
+               "generate_corpus"),
+    "styles": ("CLANG_LIKE", "GCC_LIKE", "MSVC_LIKE", "STYLES",
+               "CompilerStyle", "style_by_name"),
+    "tracking": ("TrackedAssembler",),
+})

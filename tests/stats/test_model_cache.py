@@ -2,13 +2,17 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.stats import cache
 from repro.stats.datamodel import DataByteModel
 from repro.stats.ngram import NgramModel, START
+from repro.stats.scoring import StatisticalScorer
 from repro.stats.training import (default_models, default_training_key,
                                   train_models)
+from repro.superset import Superset
+from repro.synth import generate_corpus
 
 
 @pytest.fixture
@@ -199,3 +203,89 @@ class TestDefaultModels:
             assert reloaded.data.total == trained.data.total
         finally:
             default_models.cache_clear()
+
+
+class TestFormatVersion2:
+    """The n-gram model is stored as a token table plus flat counts."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        return train_models(generate_corpus(seeds=(11, 12),
+                                            function_count=8))
+
+    @pytest.fixture
+    def reloaded(self, trained, tmp_cache):
+        cache.save_models("v2", trained.code, trained.data)
+        loaded = cache.load_models("v2")
+        assert loaded is not None
+        return loaded
+
+    def test_layout_is_token_table_and_flat_integers(self, reloaded,
+                                                     tmp_cache):
+        raw = json.loads(cache.model_path("v2").read_text())
+        assert raw["version"] == cache.MODEL_FORMAT_VERSION == 2
+        code = raw["code"]
+        assert len(code["tokens"]) == len(set(code["tokens"]))
+        for field, width in (("unigrams", 2), ("bigrams", 3),
+                             ("trigrams", 4)):
+            assert len(code[field]) % width == 0
+            assert all(type(value) is int for value in code[field])
+
+    def test_counts_and_context_sums_round_trip_exactly(self, trained,
+                                                        reloaded):
+        code, data = reloaded
+        assert code.weights == trained.code.weights
+        assert code.total == trained.code.total
+        for field in ("unigrams", "bigrams", "trigrams"):
+            # Same counts, in the order the trained counters iterate.
+            assert (list(getattr(code, field).items())
+                    == list(getattr(trained.code, field).items())), field
+        for field in ("bigram_context", "trigram_context"):
+            assert (dict(getattr(code, field))
+                    == dict(getattr(trained.code, field))), field
+        assert data.counts == trained.data.counts
+        assert data.total == trained.data.total
+
+    def test_scores_are_equal_after_the_round_trip(self, trained,
+                                                   reloaded, msvc_case):
+        superset = Superset.build(msvc_case.text)
+        before = StatisticalScorer(trained.code,
+                                   trained.data).score_all(superset)
+        after = StatisticalScorer(*reloaded).score_all(superset)
+        assert np.array_equal(before, after)
+        assert (before == after).all()
+
+    @pytest.mark.parametrize("field", ["unigrams", "bigrams", "trigrams"])
+    def test_ragged_count_list_is_a_miss(self, reloaded, tmp_cache, field):
+        path = cache.model_path("v2")
+        raw = json.loads(path.read_text())
+        raw["code"][field].pop()
+        path.write_text(json.dumps(raw))
+        assert cache.load_models("v2") is None
+
+    def test_version_1_file_is_a_miss_and_retrained_over(
+            self, tmp_cache, monkeypatch):
+        import repro.synth.corpus as corpus
+        monkeypatch.setattr(corpus, "generate_corpus", lambda **_: [])
+        code, data = small_models()
+        key = default_training_key()
+        path = cache.model_path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({
+            "version": 1,
+            "code": {"weights": list(code.weights), "total": code.total,
+                     "unigrams": dict(code.unigrams),
+                     "bigrams": {"\t".join(k): n
+                                 for k, n in code.bigrams.items()},
+                     "trigrams": {"\t".join(k): n
+                                  for k, n in code.trigrams.items()}},
+            "data": data.to_dict()}))
+        assert cache.load_models(key) is None
+        default_models.cache_clear()
+        try:
+            models = default_models()
+        finally:
+            default_models.cache_clear()
+        assert models.code.total == 0    # retrained, not loaded
+        assert json.loads(path.read_text())["version"] == 2
+        assert cache.load_models(key) is not None

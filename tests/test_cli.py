@@ -290,3 +290,74 @@ class TestNoNetworkx:
                               timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == expected
+
+
+class TestUnreadablePath:
+    """A missing path or a directory is a one-line message, exit 2."""
+
+    ARGV = {
+        "disasm": lambda path, tmp: ["disasm", path],
+        "lint": lambda path, tmp: ["lint", path],
+        "rewrite": lambda path, tmp: ["rewrite", path, str(tmp / "out")],
+        "explain": lambda path, tmp: ["explain", path, "0x0"],
+        "metrics": lambda path, tmp: ["metrics", path],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_missing_path_and_directory(self, command, tmp_path, capsys):
+        for path, reason in ((tmp_path / "missing.elf",
+                              "No such file or directory"),
+                             (tmp_path, "Is a directory")):
+            argv = self.ARGV[command](str(path), tmp_path)
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"{command}: {path}: {reason}\n"
+
+
+def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
+class TestColdStartImports:
+    """``repro disasm`` imports only what disassembly uses."""
+
+    #: Packages and modules a ``disasm --json`` process must not load.
+    NOT_FOR_DISASM = (
+        "repro.core.correction", "repro.synth.codegen",
+        "repro.synth.corpus", "repro.isa.encoder", "repro.emulator",
+        "repro.rewrite", "repro.baselines", "repro.lint", "repro.eval",
+        "repro.fleet.driver", "repro.fleet.aggregate",
+        "repro.fleet.analysis", "repro.obs.store", "repro.obs.ingest",
+        "repro.obs.report", "repro.obs.slo", "sqlite3",
+    )
+
+    def test_disasm_json_leaves_other_subsystems_unimported(
+            self, generated, capsys):
+        binary = str(generated.with_suffix(".bin"))
+        assert main(["disasm", "--json", binary]) == 0
+        expected = capsys.readouterr().out
+        script = ("import json, sys, repro.cli\n"
+                  "status = repro.cli.main(['disasm', '--json', "
+                  "sys.argv[1]])\n"
+                  "sys.stdout.flush()\n"
+                  "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+                  "sys.exit(status)\n")
+        proc = _run_python(script, binary)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
+        loaded = json.loads(proc.stderr.splitlines()[-1])
+        unwanted = [name for name in loaded
+                    if any(name == banned or name.startswith(banned + ".")
+                           for banned in self.NOT_FOR_DISASM)]
+        assert unwanted == []
+
+    def test_bare_import_does_not_load_numpy(self):
+        proc = _run_python("import sys, repro\n"
+                           "assert 'numpy' not in sys.modules, 'numpy'\n"
+                           "assert repro.__version__\n")
+        assert proc.returncode == 0, proc.stderr
