@@ -78,12 +78,16 @@ def _load_image(command: str, raw: str) -> LoadedImage | None:
     """
     try:
         return load_any(Path(raw).read_bytes())
-    except OSError as error:
-        reason = error.strerror or str(error)
-    except FormatError as error:
-        reason = str(error)
-    print(f"{command}: {raw}: {reason}", file=sys.stderr)
-    return None
+    except (OSError, FormatError) as error:
+        _report_unreadable(command, raw, error)
+        return None
+
+
+def _report_unreadable(command: str, path: str, error: Exception) -> None:
+    """Print ``command: PATH: reason`` for a file that would not load."""
+    reason = (error.strerror if isinstance(error, OSError)
+              and error.strerror else str(error))
+    print(f"{command}: {path}: {reason}", file=sys.stderr)
 
 
 def _cmd_disasm(args: argparse.Namespace) -> int:
@@ -168,8 +172,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .eval.metrics import evaluate
 
     base = Path(args.case)
-    case = TestCase.load(base.parent if base.parent != Path("")
-                         else Path("."), base.name)
+    try:
+        case = TestCase.load(base.parent if base.parent != Path("")
+                             else Path("."), base.name)
+    except (OSError, ValueError) as error:
+        # Name the file that failed: the case is a path prefix.
+        _report_unreadable("evaluate",
+                           getattr(error, "filename", None) or args.case,
+                           error)
+        return 2
     disassembler = Disassembler()
     evaluation = evaluate(disassembler.disassemble(case), case.truth)
     print(f"instruction precision: {evaluation.instructions.precision:.4f}")

@@ -72,9 +72,19 @@ def _default_timestamp(rev: str) -> str | None:
     return _git("show", "-s", "--format=%cI", rev)
 
 
-def _open_store(args: argparse.Namespace) -> RunStore:
+def _open_store(args: argparse.Namespace, *,
+                create: bool = False) -> RunStore | None:
+    """The ``--store`` database; only ``create`` makes a missing one.
+
+    A read-only command on a missing store prints
+    ``obs CMD: PATH: no such store`` and gets None, creating nothing.
+    """
     from .store import RunStore
 
+    if not create and not Path(args.store).exists():
+        print(f"obs {args.obs_command}: {args.store}: no such store",
+              file=sys.stderr)
+        return None
     return RunStore(args.store)
 
 
@@ -100,7 +110,7 @@ def cmd_record(args: argparse.Namespace) -> int:
         print(f"obs record: --timestamp is required ({rev!r} has no "
               f"commit timestamp)", file=sys.stderr)
         return 2
-    with _open_store(args) as store:
+    with _open_store(args, create=True) as store:
         for path in args.artifacts:
             try:
                 record = ingest_file(path, git_rev=rev,
@@ -120,7 +130,10 @@ def cmd_record(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     from .store import StoreError
 
-    with _open_store(args) as store:
+    store = _open_store(args)
+    if store is None:
+        return 2
+    with store:
         try:
             rev = _resolve_rev(store, args.rev) if args.rev else None
         except StoreError as error:
@@ -145,7 +158,10 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    with _open_store(args) as store:
+    store = _open_store(args)
+    if store is None:
+        return 2
+    with store:
         count = store.export_jsonl(args.output)
     print(f"exported {count} record(s) to {args.output}")
     return 0
@@ -154,7 +170,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 def cmd_import(args: argparse.Namespace) -> int:
     from .store import StoreError
 
-    with _open_store(args) as store:
+    with _open_store(args, create=True) as store:
         try:
             added = store.import_jsonl(args.input)
         except (OSError, StoreError) as error:
@@ -170,7 +186,10 @@ def cmd_diff(args: argparse.Namespace) -> int:
     from .report import diff_revisions, regressions, render_markdown
     from .store import StoreError
 
-    with _open_store(args) as store:
+    store = _open_store(args)
+    if store is None:
+        return 2
+    with store:
         try:
             base = _resolve_rev(store, args.base)
             current = _resolve_rev(store, args.current)
@@ -201,7 +220,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     from .report import render_markdown, report_revision
     from .store import StoreError
 
-    with _open_store(args) as store:
+    store = _open_store(args)
+    if store is None:
+        return 2
+    with store:
         revisions = store.revisions()
         if not revisions:
             print("obs report: the store holds no records",
@@ -237,7 +259,10 @@ def cmd_gate(args: argparse.Namespace) -> int:
     except (OSError, StoreError, json.JSONDecodeError) as error:
         print(f"obs gate: {args.spec}: {error}", file=sys.stderr)
         return 2
-    with _open_store(args) as store:
+    store = _open_store(args)
+    if store is None:
+        return 2
+    with store:
         verdict = evaluate(store, spec)
     if args.format == "json":
         print(json.dumps(verdict, indent=2, sort_keys=True))
@@ -262,7 +287,10 @@ def cmd_flame(args: argparse.Namespace) -> int:
             return 2
         stacks = collapsed_from_doc(doc)
     else:
-        with _open_store(args) as store:
+        store = _open_store(args)
+        if store is None:
+            return 2
+        with store:
             try:
                 rev = (_resolve_rev(store, args.rev) if args.rev
                        else None)

@@ -80,6 +80,10 @@ class Counter:
     def total(self) -> float:
         return sum(self._values.values())
 
+    def labels(self) -> list[dict[str, str]]:
+        """Every label set with a value, in exposition order."""
+        return [dict(key) for key in sorted(self._values)]
+
     def samples(self):
         for key in sorted(self._values):
             yield self.name, key, self._values[key]
@@ -136,6 +140,10 @@ class Histogram:
 
     def sum(self, **labels) -> float:
         return self._sums.get(_label_key(labels), 0.0)
+
+    def labels(self) -> list[dict[str, str]]:
+        """Every label set observed, in exposition order."""
+        return [dict(key) for key in sorted(self._counts)]
 
     def samples(self):
         for key in sorted(self._counts):

@@ -53,25 +53,6 @@ class PhaseTimings:
         """Record an externally measured duration."""
         self.phases[name] = self.phases.get(name, 0.0) + seconds
 
-    def merge(self, other: PhaseTimings | dict[str, float]) -> None:
-        """Accumulate another timing set phase-by-phase.
-
-        ``other`` may be a live :class:`PhaseTimings` or an
-        :meth:`as_dict` dump; the dump's derived ``total`` key is
-        skipped so merging never double-counts.  Merge and dump
-        round-trip: splitting a workload over N timers, dumping each
-        with :meth:`as_dict`, and merging the dumps into a fresh timer
-        yields the same phase sums (and hence the same ``total``) as
-        timing everything into one accumulator, up to float summation
-        order.  The serving layer relies on this to aggregate
-        worker-side phase timings across many batches.
-        """
-        phases = other.phases if isinstance(other, PhaseTimings) else other
-        for name, seconds in phases.items():
-            if name == "total":
-                continue
-            self.add(name, seconds)
-
     @property
     def total(self) -> float:
         return sum(self.phases.values())
@@ -79,9 +60,8 @@ class PhaseTimings:
     def as_dict(self) -> dict[str, float]:
         """Phase -> seconds, plus a derived ``total`` key.
 
-        The dump is machine readable (``--bench-json`` artifacts) and
-        feeds straight back into :meth:`merge`, which ignores the
-        ``total`` key; see :meth:`merge` for the round-trip guarantee.
+        The dump is machine readable (``--bench-json`` artifacts and
+        the per-batch timings serve workers send back for ``/metrics``).
         """
         out = dict(self.phases)
         out["total"] = self.total

@@ -16,7 +16,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "cache": ("ResultCache", "result_key"),
     "client": ("BackpressureError", "DeadlineError", "ServeClient",
                "ServeError", "TransportError"),
-    "metrics": ("LatencySummary", "ServeMetrics"),
+    "metrics": ("ServeMetrics",),
     "protocol": ("PROTOCOL_VERSION", "JobRequest", "ProtocolError",
                  "config_fingerprint", "config_from_overrides",
                  "encode_binary"),

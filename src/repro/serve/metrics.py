@@ -1,213 +1,141 @@
 """Operational counters for the serving layer, exposed on ``/metrics``.
 
-Everything here is plain in-process counting -- no background threads,
-no sampling.  Worker-side phase durations arrive as
-:meth:`~repro.perf.PhaseTimings.as_dict` dumps attached to batch
-results and are merged into one process-wide
-:class:`~repro.perf.PhaseTimings`, so ``/metrics`` shows where worker
+One :class:`~repro.obs.metrics.MetricsRegistry` per server holds every
+serve-side family.  Requests, jobs, batches and the queue peak are
+written into it when they happen; worker-side phase durations arrive
+as :meth:`~repro.perf.PhaseTimings.as_dict` dumps attached to batch
+results and are added per phase, so ``/metrics`` shows where worker
 time actually goes (superset, scoring, correction, ...) using the same
-instrumentation the offline CLI prints under ``--profile``.
+instrumentation the offline CLI prints under ``--profile``.  Values
+other objects own (queue depth, in-flight jobs, live workers, cache
+entries) are read from their owner when ``/metrics`` is served.
 """
 
 from __future__ import annotations
 
 import time
+from typing import TYPE_CHECKING
 
 from ..obs.metrics import MetricsRegistry
-from ..perf import PhaseTimings
 
+if TYPE_CHECKING:
+    from .cache import ResultCache
+    from .scheduler import JobScheduler
 
-class LatencySummary:
-    """Streaming min/max/mean summary of a duration series (seconds)."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = 0.0
-
-    def record(self, seconds: float) -> None:
-        self.count += 1
-        self.total += seconds
-        self.min = min(self.min, seconds)
-        self.max = max(self.max, seconds)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "total_s": round(self.total, 6),
-            "mean_s": round(self.mean, 6),
-            "min_s": round(self.min, 6) if self.count else 0.0,
-            "max_s": round(self.max, 6),
-        }
+#: Job outcomes, in the order the JSON ``jobs`` object lists them.
+_JOB_OUTCOMES = ("submitted", "completed", "failed", "cancelled",
+                 "timed_out", "rejected_queue_full")
 
 
 class ServeMetrics:
-    """All counters one serving process exports."""
+    """All counters one serving process exports, in one registry."""
 
     def __init__(self) -> None:
         self.started = time.time()
-        #: (endpoint, status) -> count, e.g. ("/v1/disassemble", 200).
-        self.requests: dict[tuple[str, int], int] = {}
-        self.jobs_submitted = 0
-        self.jobs_completed = 0
-        self.jobs_failed = 0
-        self.jobs_cancelled = 0      # expired before a worker ran them
-        self.jobs_timed_out = 0      # deadline passed while running
-        self.rejected_queue_full = 0
-        self.batches = 0
-        self.batched_jobs = 0
-        self.queue_depth = 0
-        self.queue_peak = 0
-        self.in_flight = 0
-        self.latency: dict[str, LatencySummary] = {}
-        self.worker_phases = PhaseTimings()
+        self.families = MetricsRegistry()
+        counter = self.families.counter
+        self.requests = counter("repro_serve_requests_total",
+                                "HTTP requests served, by endpoint and "
+                                "status")
+        self.jobs = counter("repro_serve_jobs_total",
+                            "Jobs by terminal outcome")
+        self.batches = counter("repro_serve_batches_total",
+                               "Micro-batches dispatched to workers")
+        self.batched_jobs = counter("repro_serve_batched_jobs_total",
+                                    "Jobs dispatched inside micro-batches")
+        self.worker_phases = counter(
+            "repro_serve_worker_phase_seconds_total",
+            "Worker pipeline time, by phase")
+        # Both views list ``total`` before the first batch arrives.
+        self.worker_phases.inc(0.0, phase="total")
+        self.cache_lookups = counter("repro_serve_cache_total",
+                                     "Result-cache lookups, by outcome")
+        self.request_seconds = self.families.histogram(
+            "repro_serve_request_seconds", "Request wall time, by endpoint")
+        self.job_seconds = self.families.histogram(
+            "repro_serve_job_seconds",
+            "Worker batch wall time per job in the batch")
+        self.queue_peak = self.families.gauge(
+            "repro_serve_queue_peak", "Highest observed queue depth")
+        self.queue_peak.set(0)
 
     # ------------------------------------------------------------------
 
     def record_request(self, endpoint: str, status: int,
                        seconds: float) -> None:
-        key = (endpoint, status)
-        self.requests[key] = self.requests.get(key, 0) + 1
-        self.latency.setdefault(endpoint, LatencySummary()).record(seconds)
+        self.requests.inc(endpoint=endpoint, status=str(status))
+        self.request_seconds.observe(seconds, endpoint=endpoint)
 
     def record_batch(self, size: int) -> None:
-        self.batches += 1
-        self.batched_jobs += size
+        self.batches.inc()
+        self.batched_jobs.inc(size)
 
     def record_queue_depth(self, depth: int) -> None:
-        self.queue_depth = depth
-        self.queue_peak = max(self.queue_peak, depth)
+        if depth > self.queue_peak.value():
+            self.queue_peak.set(depth)
 
-    def merge_worker_phases(self, phases: dict[str, float]) -> None:
-        self.worker_phases.merge(phases)
+    def record_worker_phases(self, phases: dict[str, float]) -> None:
+        """Add one batch's ``PhaseTimings.as_dict()`` dump, ``total`` too."""
+        for name, seconds in phases.items():
+            self.worker_phases.inc(seconds, phase=name)
 
     # ------------------------------------------------------------------
 
-    def snapshot(self, *, cache_stats: dict | None = None,
-                 extra: dict | None = None) -> dict:
-        """The ``/metrics`` response body."""
-        out = {
+    def snapshot(self, scheduler: JobScheduler,
+                 cache: ResultCache) -> dict:
+        """The JSON ``/metrics`` body: a read-only view of the registry."""
+        batches = int(self.batches.value())
+        batched_jobs = int(self.batched_jobs.value())
+        latency = {}
+        for labels in self.request_seconds.labels():
+            count = self.request_seconds.count(**labels)
+            total = self.request_seconds.sum(**labels)
+            latency[labels["endpoint"]] = {
+                "count": count, "total_s": round(total, 6),
+                "mean_s": round(total / count, 6)}
+        return {
             "uptime_s": round(time.time() - self.started, 3),
             "requests": {
-                f"{endpoint}:{status}": count
-                for (endpoint, status), count in sorted(self.requests.items())
+                f"{labels['endpoint']}:{labels['status']}":
+                    int(self.requests.value(**labels))
+                for labels in self.requests.labels()
             },
-            "jobs": {
-                "submitted": self.jobs_submitted,
-                "completed": self.jobs_completed,
-                "failed": self.jobs_failed,
-                "cancelled": self.jobs_cancelled,
-                "timed_out": self.jobs_timed_out,
-                "rejected_queue_full": self.rejected_queue_full,
-            },
+            "jobs": {outcome: int(self.jobs.value(outcome=outcome))
+                     for outcome in _JOB_OUTCOMES},
             "batching": {
-                "batches": self.batches,
-                "batched_jobs": self.batched_jobs,
-                "mean_batch_size": (round(self.batched_jobs / self.batches, 3)
-                                    if self.batches else 0.0),
+                "batches": batches,
+                "batched_jobs": batched_jobs,
+                "mean_batch_size": (round(batched_jobs / batches, 3)
+                                    if batches else 0.0),
             },
             "queue": {
-                "depth": self.queue_depth,
-                "peak": self.queue_peak,
-                "in_flight": self.in_flight,
+                "depth": scheduler.queue_depth(),
+                "peak": int(self.queue_peak.value()),
+                "in_flight": scheduler.in_flight,
             },
-            "latency": {endpoint: summary.as_dict()
-                        for endpoint, summary in sorted(self.latency.items())},
+            "latency": latency,
             "worker_phases_s": {
-                name: round(seconds, 6)
-                for name, seconds in self.worker_phases.as_dict().items()
+                labels["phase"]: round(self.worker_phases.value(**labels), 6)
+                for labels in self.worker_phases.labels()
             },
+            "cache": cache.stats(),
         }
-        if cache_stats is not None:
-            out["cache"] = cache_stats
-        if extra:
-            out.update(extra)
-        return out
 
-    def registry(self, *, queue_depth: int | None = None,
-                 in_flight: int | None = None,
-                 workers_alive: int | None = None,
-                 cache_stats: dict | None = None) -> MetricsRegistry:
-        """This process's counters as a :class:`MetricsRegistry`.
-
-        Built on demand from the plain counters above (the hot path
-        stays integer increments), plus live gauge values supplied by
-        the caller.  The result renders the Prometheus text format via
-        :meth:`MetricsRegistry.render_prometheus` for
-        ``GET /metrics?format=prometheus`` and ``repro metrics``.
-        """
-        registry = MetricsRegistry()
-        requests = registry.counter(
-            "repro_serve_requests_total",
-            "HTTP requests served, by endpoint and status")
-        for (endpoint, status), count in self.requests.items():
-            requests.inc(count, endpoint=endpoint, status=str(status))
-        jobs = registry.counter("repro_serve_jobs_total",
-                                "Jobs by terminal outcome")
-        for outcome, count in (("submitted", self.jobs_submitted),
-                               ("completed", self.jobs_completed),
-                               ("failed", self.jobs_failed),
-                               ("cancelled", self.jobs_cancelled),
-                               ("timed_out", self.jobs_timed_out),
-                               ("rejected_queue_full",
-                                self.rejected_queue_full)):
-            if count:
-                jobs.inc(count, outcome=outcome)
-        batches = registry.counter("repro_serve_batches_total",
-                                   "Micro-batches dispatched to workers")
-        if self.batches:
-            batches.inc(self.batches)
-        batched = registry.counter("repro_serve_batched_jobs_total",
-                                   "Jobs dispatched inside micro-batches")
-        if self.batched_jobs:
-            batched.inc(self.batched_jobs)
-        seconds = registry.counter(
-            "repro_serve_request_seconds_total",
-            "Cumulative request wall time, by endpoint")
-        counts = registry.counter(
-            "repro_serve_request_seconds_count",
-            "Requests contributing to repro_serve_request_seconds_total")
-        for endpoint, summary in self.latency.items():
-            seconds.inc(summary.total, endpoint=endpoint)
-            counts.inc(summary.count, endpoint=endpoint)
-        phases = registry.counter(
-            "repro_serve_worker_phase_seconds_total",
-            "Worker pipeline time, by phase")
-        for name, spent in self.worker_phases.as_dict().items():
-            phases.inc(spent, phase=name)
-        registry.gauge("repro_serve_uptime_seconds",
-                       "Seconds since the server started").set(
+    def render_live(self, scheduler: JobScheduler,
+                    cache: ResultCache) -> str:
+        """Prometheus text of the registry, live gauges read just now."""
+        gauge = self.families.gauge
+        gauge("repro_serve_uptime_seconds",
+              "Seconds since the server started").set(
             time.time() - self.started)
-        registry.gauge("repro_serve_queue_peak",
-                       "Highest observed queue depth").set(self.queue_peak)
-        if queue_depth is not None:
-            registry.gauge("repro_serve_queue_depth",
-                           "Jobs queued, not yet dispatched").set(
-                queue_depth)
-        if in_flight is not None:
-            registry.gauge("repro_serve_in_flight",
-                           "Jobs currently running on workers").set(
-                in_flight)
-        if workers_alive is not None:
-            registry.gauge("repro_serve_workers_alive",
-                           "Live worker processes (dispatcher liveness "
-                           "in inline mode)").set(workers_alive)
-        if cache_stats is not None:
-            cache = registry.counter("repro_serve_cache_total",
-                                     "Result-cache lookups, by outcome")
-            for outcome in ("hits", "misses", "evictions"):
-                if cache_stats.get(outcome):
-                    cache.inc(cache_stats[outcome], outcome=outcome)
-            registry.gauge("repro_serve_cache_entries",
-                           "Result-cache entries resident").set(
-                cache_stats.get("entries", 0))
-        return registry
-
-    def render_prometheus(self, **live) -> str:
-        """Prometheus text exposition (see :meth:`registry`)."""
-        return self.registry(**live).render_prometheus()
+        gauge("repro_serve_queue_depth",
+              "Jobs queued, not yet dispatched").set(
+            scheduler.queue_depth())
+        gauge("repro_serve_in_flight",
+              "Jobs currently running on workers").set(scheduler.in_flight)
+        gauge("repro_serve_workers_alive",
+              "Live worker processes (dispatcher liveness in inline "
+              "mode)").set(scheduler.workers_alive())
+        gauge("repro_serve_cache_entries",
+              "Result-cache entries resident").set(len(cache))
+        return self.families.render_prometheus()

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from ..obs.trace import SpanContext, Tracer, current_tracer, set_tracer
 from ..perf import PhaseTimings
-from .metrics import LatencySummary, ServeMetrics
+from .metrics import ServeMetrics
 from .protocol import JobRequest
 
 __all__ = [
@@ -247,7 +247,6 @@ class JobScheduler:
         self._slots: asyncio.Semaphore | None = None
         self._in_flight = 0
         self._draining = False
-        self._job_seconds = LatencySummary()
         #: Strong refs to in-flight batch-completion tasks (asyncio
         #: holds tasks weakly; without this they could be collected).
         self._batch_tasks: set[asyncio.Task] = set()
@@ -332,7 +331,9 @@ class JobScheduler:
         observed mean per-job latency across all workers, floored at
         one second so clients never busy-loop.
         """
-        mean = self._job_seconds.mean or 0.5
+        job_seconds = self.metrics.job_seconds
+        mean = (job_seconds.sum() / job_seconds.count()
+                if job_seconds.count() else 0.5)
         workers = max(1, self.config.workers)
         return max(1.0, round(len(self._queue) * mean / workers, 1))
 
@@ -347,12 +348,12 @@ class JobScheduler:
         if self._draining:
             raise DrainingError("scheduler is draining")
         if len(self._queue) >= self.config.max_queue:
-            self.metrics.rejected_queue_full += 1
+            self.metrics.jobs.inc(outcome="rejected_queue_full")
             raise QueueFullError(self.retry_after())
         loop = asyncio.get_running_loop()
         pending = _Pending(request, loop.create_future())
         self._queue.append(pending)
-        self.metrics.jobs_submitted += 1
+        self.metrics.jobs.inc(outcome="submitted")
         self.metrics.record_queue_depth(len(self._queue))
         assert self._wakeup is not None, "scheduler not started"
         self._wakeup.set()
@@ -369,7 +370,7 @@ class JobScheduler:
             # it is running its eventual result is dropped (timed out).
             pending.abandoned = True
             pending.future.add_done_callback(_swallow)
-            self.metrics.jobs_timed_out += 1
+            self.metrics.jobs.inc(outcome="timed_out")
             raise JobTimeoutError(request.id) from None
 
     # ------------------------------------------------------------------
@@ -396,7 +397,6 @@ class JobScheduler:
                     self._slots.release()
                     continue
                 self._in_flight += len(batch)
-                self.metrics.in_flight = self._in_flight
                 self.metrics.record_batch(len(batch))
                 tracer = current_tracer()
                 if tracer is not None:
@@ -424,14 +424,13 @@ class JobScheduler:
             pending = self._queue.popleft()
             if pending.request.deadline <= now or pending.abandoned:
                 # Never reached a worker: genuinely cancelled.
-                self.metrics.jobs_cancelled += 1
+                self.metrics.jobs.inc(outcome="cancelled")
                 if not pending.future.done():
                     pending.future.set_exception(
                         JobCancelledError(pending.request.id))
                     pending.future.add_done_callback(_swallow)
                 continue
             batch.append(pending)
-        self.metrics.record_queue_depth(len(self._queue))
         return batch
 
     async def _finish_batch(self, batch: list[_Pending],
@@ -449,12 +448,12 @@ class JobScheduler:
                         f"worker pool failure: {error}",
                         type(error).__name__))
                     pending.future.add_done_callback(_swallow)
-                self.metrics.jobs_failed += 1
+                self.metrics.jobs.inc(outcome="failed")
         else:
             elapsed = time.monotonic() - started
             for _ in batch:
-                self._job_seconds.record(elapsed / max(1, len(batch)))
-            self.metrics.merge_worker_phases(phases)
+                self.metrics.job_seconds.observe(elapsed / len(batch))
+            self.metrics.record_worker_phases(phases)
             tracer = current_tracer()
             if tracer is not None:
                 if extra and extra[0]:
@@ -466,17 +465,16 @@ class JobScheduler:
                 if pending is None:
                     continue
                 if ok:
-                    self.metrics.jobs_completed += 1
+                    self.metrics.jobs.inc(outcome="completed")
                     if not pending.future.done():
                         pending.future.set_result(payload)
                 else:
-                    self.metrics.jobs_failed += 1
+                    self.metrics.jobs.inc(outcome="failed")
                     if not pending.future.done():
                         pending.future.set_exception(
                             JobFailedError(payload, error_kind))
                         pending.future.add_done_callback(_swallow)
         finally:
             self._in_flight -= len(batch)
-            self.metrics.in_flight = self._in_flight
             assert self._slots is not None
             self._slots.release()

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.obs.store import RunStore
 
 REV_A = "aaaa111122223333"
 REV_B = "bbbb444455556666"
@@ -35,6 +36,13 @@ def bench_doc(speedup=8.0):
     return {"schema": "repro-bench-v1", "tool": "decode",
             "config": {"seeds": 2},
             "metrics": {"speedup": speedup, "seconds": 0.25}}
+
+
+def empty_store(tmp_path) -> str:
+    """An existing store holding no records."""
+    path = tmp_path / "empty.sqlite"
+    RunStore(path).close()
+    return str(path)
 
 
 @pytest.fixture
@@ -220,8 +228,7 @@ class TestGate:
         assert "VIOLATED" in out and "gate: FAIL" in out
 
     def test_missing_data_fails_the_gate(self, tmp_path, capsys):
-        code = main(["obs", "gate", "--store",
-                     str(tmp_path / "empty.sqlite"),
+        code = main(["obs", "gate", "--store", empty_store(tmp_path),
                      "--spec", self.spec(tmp_path)])
         assert code == 1
         assert "NO DATA" in capsys.readouterr().out
@@ -282,4 +289,50 @@ class TestFlame:
 
     def test_flame_on_empty_store_exits_2(self, tmp_path, capsys):
         assert main(["obs", "flame", "--store",
-                     str(tmp_path / "empty.sqlite")]) == 2
+                     empty_store(tmp_path)]) == 2
+        assert "no profile records" in capsys.readouterr().err
+
+
+class TestMissingStore:
+    READ_ONLY = {
+        "query": [],
+        "export": ["out.jsonl"],
+        "diff": [REV_A, REV_B],
+        "report": [],
+        "gate": ["--spec", "slo.toml"],
+        "flame": [],
+    }
+
+    @pytest.mark.parametrize("command", sorted(READ_ONLY))
+    def test_read_only_command_refuses_and_creates_nothing(
+            self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "slo.toml").write_text(
+            '[[slo]]\nname = "x"\nkind = "bench-decode"\n'
+            'metric = "speedup"\nmin = 1.0\n')
+        store = tmp_path / "nonexistent" / "s.sqlite"
+        code = main(["obs", command, "--store", str(store),
+                     *self.READ_ONLY[command]])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"obs {command}: {store}: no such store\n"
+        assert not store.parent.exists()
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_record_and_import_create_the_store(self, tmp_path, capsys):
+        artifact = tmp_path / "BENCH_decode.json"
+        artifact.write_text(json.dumps(bench_doc()))
+        recorded = tmp_path / "new" / "a.sqlite"
+        assert main(["obs", "record", "--store", str(recorded),
+                     "--rev", REV_A, "--timestamp", "t",
+                     str(artifact)]) == 0
+        assert recorded.exists()
+        dump = tmp_path / "records.jsonl"
+        assert main(["obs", "export", "--store", str(recorded),
+                     str(dump)]) == 0
+        imported = tmp_path / "other" / "b.sqlite"
+        assert main(["obs", "import", "--store", str(imported),
+                     str(dump)]) == 0
+        assert imported.exists()
+        assert "imported 1 new record(s)" in capsys.readouterr().out

@@ -40,7 +40,7 @@ class TestResultCache:
         assert cache.get("b") is None
         assert cache.get("a") == "1"
         assert cache.get("c") == "3"
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
         assert len(cache) == 2
 
     def test_overwrite_does_not_grow(self):
@@ -49,7 +49,7 @@ class TestResultCache:
         cache.put("a", "updated")
         assert len(cache) == 1
         assert cache.get("a") == "updated"
-        assert cache.evictions == 0
+        assert cache.stats()["evictions"] == 0
 
     def test_zero_capacity_disables_storage(self):
         cache = ResultCache(max_entries=0)

@@ -4,26 +4,16 @@ import io
 import json
 
 from repro.serve.access_log import AccessLog
-from repro.serve.metrics import LatencySummary, ServeMetrics
+from repro.serve.cache import ResultCache
+from repro.serve.metrics import ServeMetrics
+from repro.serve.scheduler import JobScheduler
 
 
-class TestLatencySummary:
-    def test_empty_summary_is_all_zero(self):
-        summary = LatencySummary()
-        assert summary.mean == 0.0
-        assert summary.as_dict() == {"count": 0, "total_s": 0.0,
-                                     "mean_s": 0.0, "min_s": 0.0,
-                                     "max_s": 0.0}
-
-    def test_records_min_max_mean(self):
-        summary = LatencySummary()
-        for seconds in (0.1, 0.3, 0.2):
-            summary.record(seconds)
-        out = summary.as_dict()
-        assert out["count"] == 3
-        assert out["min_s"] == 0.1
-        assert out["max_s"] == 0.3
-        assert abs(out["mean_s"] - 0.2) < 1e-9
+def snapshot(metrics: ServeMetrics, cache: ResultCache | None = None
+             ) -> dict:
+    cache = cache if cache is not None else ResultCache(
+        lookups=metrics.cache_lookups)
+    return metrics.snapshot(JobScheduler(metrics=metrics), cache)
 
 
 class TestServeMetrics:
@@ -32,11 +22,25 @@ class TestServeMetrics:
         metrics.record_request("/healthz", 200, 0.001)
         metrics.record_request("/v1/disassemble", 200, 0.5)
         metrics.record_request("/v1/disassemble", 429, 0.002)
-        snap = metrics.snapshot()
+        snap = snapshot(metrics)
         assert snap["requests"] == {"/healthz:200": 1,
                                     "/v1/disassemble:200": 1,
                                     "/v1/disassemble:429": 1}
-        assert snap["latency"]["/v1/disassemble"]["count"] == 2
+        assert snap["latency"]["/v1/disassemble"] == {
+            "count": 2, "total_s": 0.502, "mean_s": 0.251}
+
+    def test_request_latency_is_a_histogram(self):
+        metrics = ServeMetrics()
+        metrics.record_request("/healthz", 200, 0.002)
+        scheduler = JobScheduler(metrics=metrics)
+        text = metrics.render_live(scheduler, ResultCache())
+        assert "# TYPE repro_serve_request_seconds histogram" in text
+        assert ('repro_serve_request_seconds_bucket{endpoint="/healthz",'
+                'le="0.001"} 0') in text
+        assert ('repro_serve_request_seconds_bucket{endpoint="/healthz",'
+                'le="0.005"} 1') in text
+        assert 'repro_serve_request_seconds_count{endpoint="/healthz"} 1' \
+            in text
 
     def test_batching_and_queue_stats(self):
         metrics = ServeMetrics()
@@ -44,29 +48,30 @@ class TestServeMetrics:
         metrics.record_batch(5)
         metrics.record_queue_depth(7)
         metrics.record_queue_depth(2)
-        snap = metrics.snapshot()
+        snap = snapshot(metrics)
         assert snap["batching"] == {"batches": 2, "batched_jobs": 8,
                                     "mean_batch_size": 4.0}
-        assert snap["queue"]["depth"] == 2
-        assert snap["queue"]["peak"] == 7
+        assert snap["queue"] == {"depth": 0, "peak": 7, "in_flight": 0}
 
-    def test_worker_phase_merge_skips_total(self):
+    def test_worker_phases_add_each_dump_total_included(self):
         metrics = ServeMetrics()
-        metrics.merge_worker_phases({"superset": 0.5, "scoring": 0.25,
-                                     "total": 0.75})
-        metrics.merge_worker_phases({"superset": 0.5})
-        phases = metrics.snapshot()["worker_phases_s"]
-        assert phases["superset"] == 1.0
-        assert phases["scoring"] == 0.25
-        # "total" from as_dict() dumps is recomputed, never accumulated.
-        assert phases["total"] == 1.25
+        assert snapshot(metrics)["worker_phases_s"] == {"total": 0.0}
+        metrics.record_worker_phases({"superset": 0.5, "scoring": 0.25,
+                                      "total": 0.75})
+        metrics.record_worker_phases({"superset": 0.5, "total": 0.5})
+        phases = snapshot(metrics)["worker_phases_s"]
+        assert phases == {"superset": 1.0, "scoring": 0.25, "total": 1.25}
 
-    def test_snapshot_embeds_cache_stats_and_extra(self):
+    def test_snapshot_reads_cache_stats_from_the_cache(self):
         metrics = ServeMetrics()
-        snap = metrics.snapshot(cache_stats={"hits": 3},
-                                extra={"queue": {"depth": 9}})
-        assert snap["cache"] == {"hits": 3}
-        assert snap["queue"] == {"depth": 9}
+        cache = ResultCache(max_entries=4, lookups=metrics.cache_lookups)
+        cache.get("k")
+        cache.put("k", "payload")
+        cache.get("k")
+        assert snapshot(metrics, cache)["cache"] == {
+            "entries": 1, "max_entries": 4, "hits": 1, "misses": 1,
+            "evictions": 0}
+        assert metrics.cache_lookups.value(outcome="hits") == 1
 
 
 class TestAccessLog:

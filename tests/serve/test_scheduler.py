@@ -30,6 +30,11 @@ def make_scheduler(**overrides) -> JobScheduler:
     return JobScheduler(config, metrics=ServeMetrics())
 
 
+def outcomes(scheduler: JobScheduler, outcome: str) -> float:
+    """How many jobs the scheduler's metrics count under ``outcome``."""
+    return scheduler.metrics.jobs.value(outcome=outcome)
+
+
 def job(job_id: str, deadline: float = float("inf")) -> JobRequest:
     return JobRequest(id=job_id, kind="disassemble", blob=b"blob",
                       deadline=deadline)
@@ -70,10 +75,10 @@ class TestExecution:
                 await scheduler.stop()
 
         assert run(go()) == "payload-j1"
-        assert scheduler.metrics.jobs_submitted == 1
-        assert scheduler.metrics.jobs_completed == 1
+        assert outcomes(scheduler, "submitted") == 1
+        assert outcomes(scheduler, "completed") == 1
         # Worker phase timings flow back into the shared metrics.
-        assert scheduler.metrics.worker_phases.phases["superset"] > 0
+        assert scheduler.metrics.worker_phases.value(phase="superset") > 0
 
     def test_worker_failure_becomes_job_failed_error(self, monkeypatch):
         def failing_batch(items):
@@ -93,7 +98,7 @@ class TestExecution:
                 await scheduler.stop()
 
         assert run(go()) == "RuntimeError"
-        assert scheduler.metrics.jobs_failed == 1
+        assert outcomes(scheduler, "failed") == 1
 
     def test_micro_batch_coalesces_burst(self, monkeypatch):
         gated = GatedBatch()
@@ -116,8 +121,8 @@ class TestExecution:
                                     "payload-j2"]
         # The linger window turned the burst into a single batch.
         assert gated.calls == [["j0", "j1", "j2"]]
-        assert scheduler.metrics.batches == 1
-        assert scheduler.metrics.batched_jobs == 3
+        assert scheduler.metrics.batches.value() == 1
+        assert scheduler.metrics.batched_jobs.value() == 3
 
 
 class TestBackpressure:
@@ -146,9 +151,9 @@ class TestBackpressure:
 
         retry_after = run(go())
         assert retry_after >= 1.0
-        assert scheduler.metrics.rejected_queue_full == 1
+        assert outcomes(scheduler, "rejected_queue_full") == 1
         # j3 never entered the queue; j1 and j2 both completed.
-        assert scheduler.metrics.jobs_completed == 2
+        assert outcomes(scheduler, "completed") == 2
         assert [call for call in gated.calls] == [["j1"], ["j2"]]
 
 
@@ -178,8 +183,8 @@ class TestDeadlines:
         run(go())
         # j2 never reached a worker: the dispatcher discarded it.
         assert gated.calls == [["j1"]]
-        assert scheduler.metrics.jobs_timed_out == 1
-        assert scheduler.metrics.jobs_cancelled == 1
+        assert outcomes(scheduler, "timed_out") == 1
+        assert outcomes(scheduler, "cancelled") == 1
 
     def test_timeout_while_running_drops_late_result(self, monkeypatch):
         gated = GatedBatch()
@@ -199,10 +204,10 @@ class TestDeadlines:
 
         run(go())
         assert gated.calls == [["j1"]]      # it did run...
-        assert scheduler.metrics.jobs_timed_out == 1
+        assert outcomes(scheduler, "timed_out") == 1
         # ...and its late completion is still accounted as completed
         # work, just never delivered to the (gone) caller.
-        assert scheduler.metrics.jobs_completed == 1
+        assert outcomes(scheduler, "completed") == 1
 
 
 class TestDrain:
@@ -220,7 +225,7 @@ class TestDrain:
 
         payloads = run(go())
         assert len(payloads) == 5
-        assert scheduler.metrics.jobs_completed == 5
+        assert outcomes(scheduler, "completed") == 5
 
     def test_draining_scheduler_rejects_new_work(self, monkeypatch):
         monkeypatch.setattr(sched_mod, "run_batch", echo_batch)

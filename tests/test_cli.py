@@ -314,6 +314,32 @@ class TestUnreadablePath:
             assert captured.out == ""
             assert captured.err == f"{command}: {path}: {reason}\n"
 
+    def test_evaluate_names_the_unreadable_case_file(self, tmp_path,
+                                                     capsys):
+        # `evaluate` takes a path prefix, so the message names the file.
+        prefix = tmp_path / "case"
+        bin_path, gt_path = f"{prefix}.bin", f"{prefix}.gt.json"
+        assert main(["evaluate", str(prefix)]) == 2
+        assert capsys.readouterr().err == \
+            f"evaluate: {bin_path}: No such file or directory\n"
+        Path(bin_path).mkdir()
+        assert main(["evaluate", str(prefix)]) == 2
+        assert capsys.readouterr().err == \
+            f"evaluate: {bin_path}: Is a directory\n"
+        Path(bin_path).rmdir()
+        assert main(["generate", str(prefix), "--functions", "4"]) == 0
+        Path(gt_path).unlink()
+        capsys.readouterr()
+        assert main(["evaluate", str(prefix)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"evaluate: {gt_path}: No such file or directory\n"
+        Path(bin_path).write_bytes(b"junk")
+        assert main(["evaluate", str(prefix)]) == 2
+        assert capsys.readouterr().err == \
+            f"evaluate: {prefix}: bad magic\n"
+
 
 def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:
     src = str(Path(repro.__file__).resolve().parents[1])

@@ -4,8 +4,6 @@ import json
 import time
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.perf import (PhaseTimings, bench_envelope, bench_payload,
                         validate_bench_envelope, write_bench_json)
@@ -70,51 +68,6 @@ class TestPhaseTimings:
                 time.sleep(0.01)
         assert timings.phases["correction"] >= \
             timings.phases["correction/trace"] >= 0.01
-
-    def test_merge_accumulates_phase_by_phase(self):
-        base = PhaseTimings()
-        base.add("superset", 1.0)
-        other = PhaseTimings()
-        other.add("superset", 0.5)
-        other.add("scoring", 0.25)
-        base.merge(other)
-        assert base.phases == {"superset": 1.5, "scoring": 0.25}
-
-    def test_merge_of_as_dict_dump_skips_total(self):
-        # Worker processes ship timings as as_dict() dumps; merging one
-        # must not double-count through the derived "total" key.
-        base = PhaseTimings()
-        dump = PhaseTimings()
-        dump.add("superset", 1.0)
-        dump.add("scoring", 1.0)
-        base.merge(dump.as_dict())
-        base.merge(dump.as_dict())
-        assert "total" not in base.phases
-        assert base.as_dict() == {"superset": 2.0, "scoring": 2.0,
-                                  "total": 4.0}
-
-    @given(runs=st.lists(
-        st.lists(st.tuples(st.sampled_from(PIPELINE_PHASES),
-                           st.floats(min_value=0.0, max_value=1e6,
-                                     allow_nan=False)),
-                 max_size=8),
-        max_size=6))
-    def test_merging_dumps_equals_one_accumulated_run(self, runs):
-        # The round-trip contract documented on merge()/as_dict():
-        # splitting a workload over N timers, dumping each, and merging
-        # the dumps reconstructs the single-accumulator run exactly (up
-        # to float summation order).
-        accumulated = PhaseTimings()
-        merged = PhaseTimings()
-        for run in runs:
-            worker = PhaseTimings()
-            for name, seconds in run:
-                worker.add(name, seconds)
-                accumulated.add(name, seconds)
-            merged.merge(worker.as_dict())
-        assert set(merged.phases) == set(accumulated.phases)
-        assert "total" not in merged.phases
-        assert merged.as_dict() == pytest.approx(accumulated.as_dict())
 
 
 class TestBenchJson:
